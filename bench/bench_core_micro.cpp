@@ -138,9 +138,7 @@ void bm_pool_grain(benchmark::State& state) {
   std::vector<std::uint64_t> out(kTasks, 0);
   for (auto _ : state) {
     pool.parallel_for(
-        kTasks,
-        [&](std::size_t i, std::size_t) { out[i] = i * 2654435761u; },
-        grain);
+        kTasks, [&](std::size_t i) { out[i] = i * 2654435761u; }, grain);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

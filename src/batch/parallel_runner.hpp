@@ -53,10 +53,9 @@ class ParallelRunner {
     registries.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
       registries.push_back(std::make_unique<obs::Registry>());
-    std::vector<R> out = pool_.parallel_map<R>(
-        count, [&](std::size_t index, std::size_t) {
-          return fn(index, *registries[index]);
-        });
+    std::vector<R> out = pool_.parallel_map<R>(count, [&](std::size_t index) {
+      return fn(index, *registries[index]);
+    });
     if (merge_into != nullptr)
       for (const auto& registry : registries) merge_into->merge_from(*registry);
     return out;

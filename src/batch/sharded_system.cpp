@@ -66,15 +66,14 @@ void ShardedSystem::submit_stream(wl::SubmissionSource& source,
 
 void ShardedSystem::run() {
   pool_.parallel_for(
-      systems_.size(),
-      [&](std::size_t k, std::size_t) { systems_[k]->run(); },
+      systems_.size(), [&](std::size_t k) { systems_[k]->run(); },
       config_.grain);
 }
 
 void ShardedSystem::run_until(Time until) {
   pool_.parallel_for(
       systems_.size(),
-      [&](std::size_t k, std::size_t) { systems_[k]->run_until(until); },
+      [&](std::size_t k) { systems_[k]->run_until(until); },
       config_.grain);
 }
 

@@ -10,11 +10,10 @@ namespace dbs::exec {
 
 namespace {
 
-/// The pool (and worker slot) the current thread is executing a task for —
-/// the reentrancy guard. Plain thread_local: one level is enough because
-/// nested calls run inline and keep the same slot.
+/// The pool the current thread is executing a task for — the reentrancy
+/// guard. Plain thread_local: one level is enough because nested calls run
+/// inline on the same thread.
 thread_local const ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker_slot = 0;
 
 }  // namespace
 
@@ -35,8 +34,8 @@ struct ThreadPool::Batch {
 ThreadPool::ThreadPool(std::size_t threads) {
   DBS_REQUIRE(threads >= 1, "thread pool needs at least one worker");
   threads_.reserve(threads - 1);
-  for (std::size_t slot = 1; slot < threads; ++slot)
-    threads_.emplace_back([this, slot] { worker_main(slot); });
+  for (std::size_t i = 1; i < threads; ++i)
+    threads_.emplace_back([this] { worker_main(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -48,15 +47,13 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::run_tasks(Batch& batch, std::size_t worker_slot) {
+void ThreadPool::run_tasks(Batch& batch) {
   // Scoped reentrancy guard: while this thread runs tasks for `batch` it is
   // marked as belonging to the owning pool, so a nested parallel_for on the
   // same pool is detected and inlined. Saving/restoring (instead of
   // clearing) keeps the guard correct when pools nest across each other.
   const ThreadPool* saved_pool = tls_pool;
-  const std::size_t saved_slot = tls_worker_slot;
   tls_pool = batch.owner;
-  tls_worker_slot = worker_slot;
   for (;;) {
     // One claim takes `grain` consecutive indices; the chunk runs in index
     // order so per-index semantics (error_index, determinism contracts)
@@ -67,7 +64,7 @@ void ThreadPool::run_tasks(Batch& batch, std::size_t worker_slot) {
     const std::size_t end = std::min(begin + batch.grain, batch.n);
     for (std::size_t i = begin; i < end; ++i) {
       try {
-        (*batch.fn)(i, worker_slot);
+        (*batch.fn)(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(batch.error_mutex);
         if (i < batch.error_index) {
@@ -84,10 +81,9 @@ void ThreadPool::run_tasks(Batch& batch, std::size_t worker_slot) {
     }
   }
   tls_pool = saved_pool;
-  tls_worker_slot = saved_slot;
 }
 
-void ThreadPool::worker_main(std::size_t worker_slot) {
+void ThreadPool::worker_main() {
   std::uint64_t seen_seq = 0;
   for (;;) {
     std::shared_ptr<Batch> batch;
@@ -101,7 +97,7 @@ void ThreadPool::worker_main(std::size_t worker_slot) {
     // A null batch means the region already finished (posted and drained
     // before this worker woke up); just go back to waiting.
     if (!batch) continue;
-    run_tasks(*batch, worker_slot);
+    run_tasks(*batch);
   }
 }
 
@@ -112,15 +108,13 @@ void ThreadPool::parallel_for(std::size_t n, const Task& fn,
   if (n == 0) return;
 
   // Nested call from inside one of our own tasks, or a trivially small /
-  // single-threaded region: run inline on the current worker slot.
-  const bool nested = tls_pool == this;
-  if (nested || threads_.empty() || n == 1) {
-    const std::size_t slot = nested ? tls_worker_slot : 0;
+  // single-threaded region: run inline on the calling thread.
+  if (tls_pool == this || threads_.empty() || n == 1) {
     std::exception_ptr first_error;
     std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
     for (std::size_t i = 0; i < n; ++i) {
       try {
-        fn(i, slot);
+        fn(i);
       } catch (...) {
         if (i < first_error_index) {
           first_error = std::current_exception();
@@ -144,8 +138,8 @@ void ThreadPool::parallel_for(std::size_t n, const Task& fn,
   }
   work_cv_.notify_all();
 
-  // The caller works too (slot 0), then waits for stragglers.
-  run_tasks(*batch, 0);
+  // The caller works too, then waits for stragglers.
+  run_tasks(*batch);
   {
     std::unique_lock<std::mutex> lock(batch->done_mutex);
     batch->done_cv.wait(lock, [&] {

@@ -42,9 +42,7 @@ bool ShardedService::open() {
   // replays its own WAL tail; the shards touch disjoint state.
   const std::vector<char> had = pool_.parallel_map<char>(
       loops_.size(),
-      [&](std::size_t k, std::size_t) {
-        return static_cast<char>(loops_[k]->open());
-      },
+      [&](std::size_t k) { return static_cast<char>(loops_[k]->open()); },
       system_.shard_config().grain);
   std::vector<std::uint64_t> cores(loops_.size(), 0);
   std::vector<std::uint64_t> jobs(loops_.size(), 0);
@@ -76,7 +74,7 @@ void ShardedService::route_pending() {
 void ShardedService::tick() {
   route_pending();
   pool_.parallel_for(
-      loops_.size(), [&](std::size_t k, std::size_t) { loops_[k]->tick(); },
+      loops_.size(), [&](std::size_t k) { loops_[k]->tick(); },
       system_.shard_config().grain);
   ++ticks_;
 }

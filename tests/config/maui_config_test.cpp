@@ -58,7 +58,6 @@ PREEMPTION            ON
 MALLEABLESTEAL        ON
 DYNPARTITION          8
 MAXJOBSPERUSER        4
-MEASURETHREADS        4
 STAGETIMING           ON
 ALLOCATIONPOLICY      SPREAD
 )");
@@ -73,17 +72,8 @@ ALLOCATIONPOLICY      SPREAD
   EXPECT_TRUE(config.allow_malleable_steal);
   EXPECT_EQ(config.dynamic_partition_cores, 8);
   EXPECT_EQ(config.max_eligible_per_user, 4u);
-  EXPECT_EQ(config.measure_threads, 4u);
   EXPECT_TRUE(config.stage_timing);
   EXPECT_EQ(config.allocation_policy, cluster::AllocationPolicy::Spread);
-}
-
-TEST(MauiConfig, MeasureThreadsRejectsNonPositive) {
-  const ParseResult zero = parse_maui_config("MEASURETHREADS 0\n");
-  ASSERT_EQ(zero.issues.size(), 1u);
-  EXPECT_EQ(zero.config.measure_threads, 1u);  // default preserved
-  const ParseResult bogus = parse_maui_config("MEASURETHREADS abc\n");
-  ASSERT_EQ(bogus.issues.size(), 1u);
 }
 
 TEST(MauiConfig, FairshareAndCredSettings) {
@@ -137,11 +127,15 @@ TEST(MauiConfig, IssuesReportedWithLineNumbers) {
       "BOGUSKEY 42\n"
       "DFSINTERVAL notaduration\n"
       "USERCFG[u] NOT_A_PAIR\n"
-      "USERCFG[ ] DFSDYNDELAYPERM=1\n");
-  ASSERT_EQ(r.issues.size(), 4u);
+      "USERCFG[ ] DFSDYNDELAYPERM=1\n"
+      "MEASURETHREADS 4\n");
+  ASSERT_EQ(r.issues.size(), 5u);
   EXPECT_EQ(r.issues[0].line, 2);
   EXPECT_EQ(r.issues[1].line, 3);
   EXPECT_EQ(r.issues[2].line, 4);
+  // A retired key is an unknown key, reported at its line.
+  EXPECT_EQ(r.issues[4].line, 6);
+  EXPECT_EQ(r.issues[4].message, "unknown key 'MEASURETHREADS'");
   // Recognized settings before/after bad lines still applied.
   EXPECT_EQ(r.config.dfs.policy, core::DfsPolicy::TargetDelay);
 }

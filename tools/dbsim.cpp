@@ -5,8 +5,7 @@
 //           [--csv waits.csv]
 //           [--trace-out events.jsonl] [--trace-format jsonl|chrome]
 //           [--metrics-json metrics.json] [--record-out run.dbsr]
-//           [--replications R] [--jobs N]
-//           [--measure-threads M] [--stage-breakdown]
+//           [--replications R] [--jobs N] [--stage-breakdown]
 //           [--shards K] [--shard-by hash|user|partition|least]
 //           [--shard-map range|hash] [--shard-threads T]
 //
@@ -26,9 +25,6 @@
 // independent replications (isolated simulator + registry each) and
 // --jobs N executes them on N threads; the merged metrics snapshot is
 // byte-identical for every N (the trace goes to replication 0 only).
-// --measure-threads M sets the scheduler's internal what-if measurement
-// parallelism (MEASURETHREADS), overriding the config file; decisions are
-// bit-identical at every M.
 //
 // Sharded scheduling: --shards K partitions the cluster's nodes into K
 // shards (--shard-map range|hash), each scheduled by its own independent
@@ -79,8 +75,7 @@ int usage(const char* argv0, int code) {
                "       [--csv FILE]\n"
                "       [--trace-out FILE] [--trace-format jsonl|chrome]\n"
                "       [--metrics-json FILE|-] [--record-out FILE]\n"
-               "       [--replications R] [--jobs N]\n"
-               "       [--measure-threads M] [--stage-breakdown]\n"
+               "       [--replications R] [--jobs N] [--stage-breakdown]\n"
                "       [--swf-window N] [--swf-overlay-dynamic PCT]\n"
                "       [--swf-seed S] [--swf-policy skip|strict]\n"
                "       [--swf-materialize] [--serve]\n"
@@ -148,7 +143,6 @@ int main(int argc, char** argv) {
   bool stage_breakdown = false;
   std::size_t replications = 1;
   std::size_t run_jobs = 1;
-  std::size_t measure_threads = 0;  // 0: keep the config-file value
   std::size_t shards = 1;
   std::size_t shard_threads = 1;
   core::RoutePolicy shard_by = core::RoutePolicy::UserHash;
@@ -200,8 +194,6 @@ int main(int argc, char** argv) {
       replications = static_cast<std::size_t>(std::stoul(next()));
     else if (arg == "--jobs")
       run_jobs = static_cast<std::size_t>(std::stoul(next()));
-    else if (arg == "--measure-threads")
-      measure_threads = static_cast<std::size_t>(std::stoul(next()));
     else if (arg == "--shards")
       shards = static_cast<std::size_t>(std::stoul(next()));
     else if (arg == "--shard-threads")
@@ -356,8 +348,6 @@ int main(int argc, char** argv) {
     nodes = static_cast<std::size_t>((total + cores_per_node - 1) /
                                      cores_per_node);
   }
-  if (measure_threads > 0)
-    system_config.scheduler.measure_threads = measure_threads;
   // Operator tooling always records the per-stage breakdown; the span
   // overhead only matters in benchmark hot loops.
   system_config.scheduler.stage_timing = true;
