@@ -41,6 +41,13 @@ struct DurationCase {
   std::int64_t expected_seconds;
 };
 
+// Name each case by its input text. gtest's default dump of the raw bytes
+// includes the string's address, so the discovered ctest names would
+// change with every build and every run under ASLR.
+void PrintTo(const DurationCase& c, std::ostream* os) {
+  *os << testing::PrintToString(c.text);
+}
+
 class ParseDurationValid : public testing::TestWithParam<DurationCase> {};
 
 TEST_P(ParseDurationValid, Parses) {
