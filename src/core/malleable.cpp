@@ -7,7 +7,7 @@
 namespace dbs::core {
 
 std::vector<MalleableShrink> plan_malleable_steal(
-    const std::vector<const rms::Job*>& running, CoreCount needed,
+    std::span<const rms::Job* const> running, CoreCount needed,
     CoreCount free_now, JobId exclude) {
   DBS_REQUIRE(needed > 0, "steal planning needs a target");
   if (free_now >= needed) return {};

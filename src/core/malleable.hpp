@@ -4,6 +4,7 @@
 // the smaller allocation (Application::on_reshaped).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -23,7 +24,7 @@ struct MalleableShrink {
 /// (in which case nothing should be shrunk). `exclude` (the requesting
 /// job) is never selected.
 [[nodiscard]] std::vector<MalleableShrink> plan_malleable_steal(
-    const std::vector<const rms::Job*>& running, CoreCount needed,
+    std::span<const rms::Job* const> running, CoreCount needed,
     CoreCount free_now, JobId exclude = JobId::invalid());
 
 }  // namespace dbs::core

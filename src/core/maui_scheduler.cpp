@@ -125,8 +125,8 @@ void MauiScheduler::iterate() {
   DBS_TRACE_EVENT(ctx_.sinks.tracer,
                   obs::TraceEvent(now, "sched", "iteration_begin")
                       .field("iteration", iterations_)
-                      .field("queued", server_.jobs().queued_count())
-                      .field("running", server_.jobs().running_count())
+                      .field("queued", server_.jobs().queued().size())
+                      .field("running", server_.jobs().running().size())
                       .field("dyn_requests", server_.jobs().dyn_requests().size())
                       .field("free_cores", server_.cluster().free_cores()));
 
@@ -243,7 +243,7 @@ void MauiScheduler::record_iteration(const IterationStats& stats) {
     for (std::size_t i = 0; i < kStageCount; ++i)
       instruments_.stage_us[i]->observe(stats.stage_wall_us[i]);
   instruments_.queue_length->set(
-      static_cast<double>(server_.jobs().queued_count()));
+      static_cast<double>(server_.jobs().queued().size()));
   instruments_.dyn_queue_length->set(
       static_cast<double>(server_.jobs().dyn_requests().size()));
   instruments_.free_cores->set(
@@ -255,8 +255,8 @@ void MauiScheduler::schedule_poll() {
     server_.simulator().cancel(poll_event_);
     poll_event_ = EventId::invalid();
   }
-  const bool work_left = server_.jobs().has_queued() ||
-                         server_.jobs().has_running() ||
+  const bool work_left = !server_.jobs().queued().empty() ||
+                         !server_.jobs().running().empty() ||
                          !server_.jobs().dyn_requests().empty();
   if (!work_left) return;
   poll_at_ = server_.simulator().now() + config_.poll_interval;

@@ -12,7 +12,8 @@ namespace dbs::core {
 void eligible_static_jobs_into(const rms::Server& server,
                                const SchedulerConfig& config,
                                std::vector<const rms::Job*>& out) {
-  server.jobs().queued_into(out);
+  const auto queued = server.jobs().queued();
+  out.assign(queued.begin(), queued.end());
   // Common path: no per-user cap means every queued job is eligible; the
   // per-user counting map is only built when a cap is configured.
   if (!config.max_eligible_per_user) return;

@@ -4,6 +4,7 @@
 // recently started are sacrificed first (they lose the least progress).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -16,7 +17,7 @@ namespace dbs::core {
 /// should be preempted). `exclude` (typically the requesting job itself)
 /// is never selected.
 [[nodiscard]] std::vector<JobId> select_preemption_victims(
-    const std::vector<const rms::Job*>& running, CoreCount needed,
+    std::span<const rms::Job* const> running, CoreCount needed,
     CoreCount free_now, JobId exclude = JobId::invalid());
 
 }  // namespace dbs::core

@@ -135,4 +135,23 @@ class Registry {
   std::map<std::string, Histogram> histograms_;
 };
 
+/// A counter handle for per-event paths: the name is looked up on the
+/// first add() only, and the pointer is kept after that. Lookup on first
+/// use (not at construction) registers a name only once something counts
+/// under it, so snapshots list exactly the names a per-event lookup would.
+/// Owners replace their slots with fresh ones when they switch registries.
+class CounterSlot {
+ public:
+  explicit constexpr CounterSlot(const char* name) : name_(name) {}
+
+  void add(Registry& registry) {
+    if (counter_ == nullptr) counter_ = &registry.counter(name_);
+    counter_->add();
+  }
+
+ private:
+  const char* name_;
+  Counter* counter_ = nullptr;
+};
+
 }  // namespace dbs::obs

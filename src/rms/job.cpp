@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "rms/job_queue.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define DBS_JOB_POOL_DISABLED 1
@@ -103,6 +104,12 @@ std::unique_ptr<Job> Job::restore(JobId id, JobSpec spec,
   return job;
 }
 
+void Job::set_state(JobState next) {
+  const JobState prev = state_;
+  state_ = next;
+  if (owner_ != nullptr) owner_->refile(*this, prev);
+}
+
 Time Job::start_time() const {
   DBS_REQUIRE(start_.has_value(), "job has not started");
   return *start_;
@@ -121,7 +128,7 @@ void Job::mark_started(Time at, cluster::Placement placement, bool backfilled) {
   DBS_REQUIRE(state_ == JobState::Queued, "start requires Queued state");
   DBS_REQUIRE(placement.total_cores() == spec_.cores,
               "initial placement must match requested cores");
-  state_ = JobState::Running;
+  set_state(JobState::Running);
   start_ = at;
   placement_ = std::move(placement);
   backfilled_ = backfilled;
@@ -129,13 +136,13 @@ void Job::mark_started(Time at, cluster::Placement placement, bool backfilled) {
 
 void Job::mark_dynqueued() {
   DBS_REQUIRE(state_ == JobState::Running, "dynqueued requires Running state");
-  state_ = JobState::DynQueued;
+  set_state(JobState::DynQueued);
 }
 
 void Job::mark_running_again() {
   DBS_REQUIRE(state_ == JobState::DynQueued,
               "resume requires DynQueued state");
-  state_ = JobState::Running;
+  set_state(JobState::Running);
 }
 
 void Job::expand(const cluster::Placement& extra) {
@@ -165,19 +172,19 @@ void Job::shrink(const cluster::Placement& freed) {
 
 void Job::mark_completed(Time at) {
   DBS_REQUIRE(is_running(), "completion requires a running job");
-  state_ = JobState::Completed;
+  set_state(JobState::Completed);
   end_ = at;
 }
 
 void Job::mark_cancelled(Time at) {
   DBS_REQUIRE(!finished(), "job already finished");
-  state_ = JobState::Cancelled;
+  set_state(JobState::Cancelled);
   end_ = at;
 }
 
 void Job::mark_requeued() {
   DBS_REQUIRE(is_running(), "requeue requires a running job");
-  state_ = JobState::Queued;
+  set_state(JobState::Queued);
   start_.reset();
   placement_ = {};
   backfilled_ = false;

@@ -14,6 +14,8 @@
 
 namespace dbs::rms {
 
+class JobQueue;
+
 /// Server-side job lifecycle. `DynQueued` is the paper's special state a
 /// running job enters while one of its dynamic requests awaits scheduling.
 enum class JobState {
@@ -146,6 +148,14 @@ class Job {
       const Restore& r);
 
  private:
+  friend class JobQueue;
+
+  /// The one place state_ changes after construction: refiles the job in
+  /// the owning JobQueue's state indexes, so no transition can leave them
+  /// stale.
+  void set_state(JobState next);
+
+  JobQueue* owner_ = nullptr;  ///< set by JobQueue::add
   JobId id_;
   JobSpec spec_;
   std::unique_ptr<Application> app_;

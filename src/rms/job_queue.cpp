@@ -15,7 +15,37 @@ Job& JobQueue::add(std::unique_ptr<Job> job) {
   Job& ref = *job;
   jobs_.emplace(id, std::move(job));
   order_.emplace_back(id, &ref);
+  // The newest id sorts last in whichever index its state selects.
+  if (auto* index = index_for(ref.state())) index->push_back(&ref);
+  ref.owner_ = this;
   return ref;
+}
+
+std::vector<const Job*>* JobQueue::index_for(JobState s) {
+  switch (s) {
+    case JobState::Queued: return &queued_;
+    case JobState::Running:
+    case JobState::DynQueued: return &running_;
+    case JobState::Completed:
+    case JobState::Cancelled: return nullptr;
+  }
+  return nullptr;
+}
+
+void JobQueue::refile(const Job& job, JobState from) {
+  auto* src = index_for(from);
+  auto* dst = index_for(job.state());
+  if (src == dst) return;
+  const auto by_id = [](const Job* a, const Job* b) {
+    return a->id() < b->id();
+  };
+  if (src != nullptr) {
+    const auto pos = std::lower_bound(src->begin(), src->end(), &job, by_id);
+    DBS_ASSERT(pos != src->end() && *pos == &job, "state index out of sync");
+    src->erase(pos);
+  }
+  if (dst != nullptr)
+    dst->insert(std::upper_bound(dst->begin(), dst->end(), &job, by_id), &job);
 }
 
 void JobQueue::retire(JobId id) {
@@ -63,59 +93,6 @@ const Job& JobQueue::at(JobId id) const {
   auto it = jobs_.find(id);
   DBS_REQUIRE(it != jobs_.end(), "unknown job id");
   return *it->second;
-}
-
-std::vector<Job*> JobQueue::queued() {
-  std::vector<Job*> out;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) out.push_back(j);
-  return out;
-}
-
-std::vector<const Job*> JobQueue::queued() const {
-  std::vector<const Job*> out;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) out.push_back(j);
-  return out;
-}
-
-void JobQueue::queued_into(std::vector<const Job*>& out) const {
-  out.clear();
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) out.push_back(j);
-}
-
-std::size_t JobQueue::queued_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) ++n;
-  return n;
-}
-
-bool JobQueue::has_queued() const {
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) return true;
-  return false;
-}
-
-std::vector<const Job*> JobQueue::running() const {
-  std::vector<const Job*> out;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->is_running()) out.push_back(j);
-  return out;
-}
-
-std::size_t JobQueue::running_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->is_running()) ++n;
-  return n;
-}
-
-bool JobQueue::has_running() const {
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->is_running()) return true;
-  return false;
 }
 
 std::vector<const Job*> JobQueue::all() const {

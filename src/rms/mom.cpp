@@ -24,6 +24,7 @@ MomManager::MomManager(sim::Simulator& simulator, Server& server,
 void MomManager::set_sinks(const obs::Sinks& sinks) {
   tracer_ = sinks.tracer;
   registry_ = &sinks.registry_or_global();
+  instruments_ = Instruments{};
 }
 
 void MomManager::launch(const Job& job) {
@@ -40,7 +41,7 @@ void MomManager::launch(const Job& job) {
   sim_.schedule_after(delay, [this, id, gen, nodes] {
     auto it = running_.find(id);
     if (it == running_.end() || it->second.generation != gen) return;
-    registry_->counter("mom.joins").add();
+    instruments_.joins.add(*registry_);
     DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "mom", "join")
                                  .field("job", id.value())
                                  .field("nodes", nodes));
@@ -60,7 +61,7 @@ void MomManager::deliver_grant(const Job& job, const cluster::Placement& extra) 
     auto it = running_.find(id);
     if (it == running_.end()) return;  // job finished meanwhile
     it->second.cores = server_.job(id).allocated_cores();
-    registry_->counter("mom.dyn_joins").add();
+    instruments_.dyn_joins.add(*registry_);
     DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "mom", "dyn_join")
                                  .field("job", id.value())
                                  .field("nodes", nodes)
@@ -165,7 +166,7 @@ void MomManager::arm_release(JobRuntime& rt, JobId id, const DynRelease& rel) {
     const Duration disjoin = latency_.dyn_join(freed.node_count());
     sim_.schedule_after(disjoin + latency_.mom_to_server, [this, id, freed] {
       if (!running_.contains(id)) return;
-      registry_->counter("mom.dyn_disjoins").add();
+      instruments_.dyn_disjoins.add(*registry_);
       DBS_TRACE_EVENT(tracer_,
                       obs::TraceEvent(sim_.now(), "mom", "dyn_disjoin")
                           .field("job", id.value())

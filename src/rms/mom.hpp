@@ -10,13 +10,13 @@
 
 #include "cluster/allocation_policy.hpp"
 #include "common/types.hpp"
+#include "obs/registry.hpp"
 #include "rms/application.hpp"
 #include "rms/comm.hpp"
 #include "sim/simulator.hpp"
 
 namespace dbs::obs {
 class Tracer;
-class Registry;
 struct Sinks;
 }
 
@@ -124,6 +124,13 @@ class MomManager {
   std::unordered_map<JobId, JobRuntime> running_;
   obs::Tracer* tracer_ = nullptr;
   obs::Registry* registry_;  ///< never null; defaults to the global one
+  /// Per-event counters in registry_, reset by set_sinks.
+  struct Instruments {
+    obs::CounterSlot joins{"mom.joins"};
+    obs::CounterSlot dyn_joins{"mom.dyn_joins"};
+    obs::CounterSlot dyn_disjoins{"mom.dyn_disjoins"};
+  };
+  Instruments instruments_;
 };
 
 }  // namespace dbs::rms

@@ -32,6 +32,7 @@ Server::Server(sim::Simulator& simulator, cluster::Cluster& cluster,
 void Server::set_sinks(const obs::Sinks& sinks) {
   tracer_ = sinks.tracer;
   registry_ = &sinks.registry_or_global();
+  instruments_ = Instruments{};
   if (recorder_ != sinks.recorder) {
     // The recorder listens like any other observer; swapping sinks must
     // not leave a stale registration behind.
@@ -46,8 +47,11 @@ void Server::set_sinks(const obs::Sinks& sinks) {
 }
 
 void Server::record_residency(const DynRequest& req) {
-  registry_->histogram("dyn.queue_residency_s", residency_bounds())
-      .observe((sim_.now() - req.submitted).as_seconds());
+  if (instruments_.queue_residency == nullptr)
+    instruments_.queue_residency =
+        &registry_->histogram("dyn.queue_residency_s", residency_bounds());
+  instruments_.queue_residency->observe(
+      (sim_.now() - req.submitted).as_seconds());
 }
 
 void Server::set_scheduler_trigger(std::function<void()> trigger) {
@@ -87,7 +91,7 @@ JobId Server::submit(JobSpec spec, std::unique_ptr<Application> app) {
       std::make_unique<Job>(id, std::move(spec), std::move(app), sim_.now()));
   DBS_TRACE("submit " << id.value() << " (" << job.spec().name << ") at "
                       << sim_.now());
-  registry_->counter("server.jobs_submitted").add();
+  instruments_.jobs_submitted.add(*registry_);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "submit")
                                .field("job", id.value())
                                .field("job_name", job.spec().name)
@@ -129,7 +133,7 @@ bool Server::start_job(JobId id, bool backfilled) {
   DBS_TRACE("start " << id.value() << " (" << job.spec().name << ") on "
                      << job.placement().node_count() << " nodes at "
                      << sim_.now() << (backfilled ? " [backfill]" : ""));
-  registry_->counter("server.jobs_started").add();
+  instruments_.jobs_started.add(*registry_);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "job_start")
                                .field("job", id.value())
                                .field("cores", job.allocated_cores())
@@ -164,7 +168,7 @@ bool Server::grant_dyn(RequestId req_id) {
   job.count_dyn_grant();
   DBS_TRACE("grant +" << done.extra_cores << " cores to job "
                       << job.id().value() << " at " << sim_.now());
-  registry_->counter("dyn.grants").add();
+  instruments_.dyn_grants.add(*registry_);
   record_residency(done);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_grant")
                                .field("job", job.id().value())
@@ -189,7 +193,7 @@ void Server::reject_dyn(RequestId req_id, std::optional<Time> availability_hint)
     // Negotiation extension: the request stays queued; remember when the
     // scheduler believes resources could be available.
     if (availability_hint) availability_hints_[req->job] = *availability_hint;
-    registry_->counter("dyn.defers").add();
+    instruments_.dyn_defers.add(*registry_);
     DBS_TRACE_EVENT(
         tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_defer")
                      .field("job", req->job.value())
@@ -213,7 +217,7 @@ void Server::finalize_reject(const DynRequest& req) {
   job.count_dyn_reject();
   DBS_TRACE("reject +" << done.extra_cores << " cores for job "
                        << job.id().value() << " at " << sim_.now());
-  registry_->counter("dyn.rejects").add();
+  instruments_.dyn_rejects.add(*registry_);
   record_residency(done);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_reject")
                                .field("job", job.id().value())
@@ -238,7 +242,7 @@ void Server::preempt(JobId id) {
   cluster_.release_all(id);
   if (job.state() == JobState::DynQueued) job.mark_running_again();
   job.mark_requeued();
-  registry_->counter("server.preemptions").add();
+  instruments_.preemptions.add(*registry_);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "preempt")
                                .field("job", id.value()));
   for (auto* o : observers_) o->on_requeue(job);
@@ -264,7 +268,7 @@ void Server::mom_dyn_request(JobId id, CoreCount extra_cores, Duration timeout,
   queue_.push_dyn_request(req);
   DBS_TRACE("dynget +" << extra_cores << " cores from job " << id.value()
                        << " (attempt " << attempt << ") at " << sim_.now());
-  registry_->counter("dyn.requests").add();
+  instruments_.dyn_requests.add(*registry_);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_request")
                                .field("job", id.value())
                                .field("request", req.id.value())
@@ -287,7 +291,7 @@ void Server::mom_job_finished(JobId id) {
   job.mark_completed(sim_.now());
   DBS_TRACE("finish " << id.value() << " (" << job.spec().name << ") at "
                       << sim_.now());
-  registry_->counter("server.jobs_finished").add();
+  instruments_.jobs_finished.add(*registry_);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "job_finish")
                                .field("job", id.value())
                                .field("turnaround_s",
@@ -326,7 +330,7 @@ void Server::shrink_job(JobId id, CoreCount cores) {
   job.shrink(freed);
   DBS_TRACE("malleable shrink -" << cores << " cores of job " << id.value()
                                  << " at " << sim_.now());
-  registry_->counter("server.malleable_shrinks").add();
+  instruments_.malleable_shrinks.add(*registry_);
   DBS_TRACE_EVENT(tracer_,
                   obs::TraceEvent(sim_.now(), "rms", "malleable_shrink")
                       .field("job", id.value())
@@ -372,7 +376,7 @@ void Server::node_failure(NodeId node_id) {
   }
   DBS_TRACE("node " << node_id.value() << " failed, " << victims.size()
                     << " jobs affected");
-  registry_->counter("server.node_failures").add();
+  instruments_.node_failures.add(*registry_);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "node_failure")
                                .field("node", node_id.value())
                                .field("jobs_affected", victims.size()));
@@ -448,7 +452,7 @@ void Server::mom_dyn_release(JobId id, const cluster::Placement& freed) {
   DBS_REQUIRE(job.is_running(), "release requires a running job");
   cluster_.release(id, freed);
   job.shrink(freed);
-  registry_->counter("dyn.releases").add();
+  instruments_.dyn_releases.add(*registry_);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_release")
                                .field("job", id.value())
                                .field("cores", freed.total_cores())

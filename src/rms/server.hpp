@@ -11,13 +11,13 @@
 
 #include "cluster/cluster.hpp"
 #include "common/types.hpp"
+#include "obs/registry.hpp"
 #include "rms/comm.hpp"
 #include "rms/job_queue.hpp"
 #include "sim/simulator.hpp"
 
 namespace dbs::obs {
 class Tracer;
-class Registry;
 struct Sinks;
 namespace rec {
 class FlightRecorder;
@@ -206,6 +206,22 @@ class Server {
   std::unordered_map<JobId, Time> availability_hints_;
   obs::Tracer* tracer_ = nullptr;
   obs::Registry* registry_;  ///< never null; defaults to the global one
+  /// Per-event instruments in registry_, reset by set_sinks.
+  struct Instruments {
+    obs::CounterSlot jobs_submitted{"server.jobs_submitted"};
+    obs::CounterSlot jobs_started{"server.jobs_started"};
+    obs::CounterSlot jobs_finished{"server.jobs_finished"};
+    obs::CounterSlot preemptions{"server.preemptions"};
+    obs::CounterSlot malleable_shrinks{"server.malleable_shrinks"};
+    obs::CounterSlot node_failures{"server.node_failures"};
+    obs::CounterSlot dyn_requests{"dyn.requests"};
+    obs::CounterSlot dyn_grants{"dyn.grants"};
+    obs::CounterSlot dyn_defers{"dyn.defers"};
+    obs::CounterSlot dyn_rejects{"dyn.rejects"};
+    obs::CounterSlot dyn_releases{"dyn.releases"};
+    obs::Histogram* queue_residency = nullptr;  ///< null == not yet resolved
+  };
+  Instruments instruments_;
   /// Flight recorder currently registered in observers_ via set_sinks.
   obs::rec::FlightRecorder* recorder_ = nullptr;
 };

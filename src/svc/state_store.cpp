@@ -563,8 +563,7 @@ void restore_state(batch::BatchSystem& system, const SystemState& s) {
   // node states. Completed/cancelled jobs keep their historical placement
   // on the Job record but hold nothing in the cluster.
   cluster::Cluster& cl = system.cluster();
-  for (const rms::Job* job : server.jobs().all()) {
-    if (!job->is_running()) continue;
+  for (const rms::Job* job : server.jobs().running()) {
     for (const auto& share : job->placement().shares)
       cl.node(share.node).allocate(job->id(), share.cores);
   }

@@ -217,9 +217,10 @@ TEST(PriorityOrderCache, MatchesFullSortUnderChurn) {
 
   for (int pass = 0; pass < 30; ++pass) {
     const Time now = sys.sim.now();
-    std::vector<const rms::Job*> incremental = sys.server.jobs().queued();
+    const auto queued = sys.server.jobs().queued();
+    std::vector<const rms::Job*> incremental(queued.begin(), queued.end());
     std::vector<const rms::Job*> reference =
-        engine.prioritize(sys.server.jobs().queued(), now);
+        engine.prioritize(incremental, now);
     cache.order(incremental, engine, now);
     ASSERT_EQ(incremental, reference) << "pass " << pass;
 

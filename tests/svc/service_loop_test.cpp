@@ -88,8 +88,13 @@ struct ServiceResult {
 };
 
 /// Runs `workload` through ingest + ServiceLoop to completion (or
-/// max_ticks). With a state_dir, recovers first; the producer skips the
+/// max_ticks). With a state_dir, recovers first; the feed skips the
 /// records the WAL already holds, exactly like a restarted trace feeder.
+/// One producer pre-fills the queue before run(), so the first drain takes
+/// the whole workload and every tick, snapshot and WAL byte is a function
+/// of the inputs alone; a live producer thread would race the tick
+/// boundaries. Several producers race on purpose (their drain order is
+/// then whatever the WAL recorded).
 ServiceResult run_service(const wl::Workload& workload,
                           const ServiceConfig& scfg,
                           std::size_t producer_threads = 1) {
@@ -104,14 +109,12 @@ ServiceResult run_service(const wl::Workload& workload,
   std::vector<std::thread> producers;
   std::atomic<std::size_t> live{producer_threads};
   if (producer_threads <= 1) {
-    producers.emplace_back([&]() {
-      std::uint64_t yielded = 0;
-      for (const auto& s : workload.jobs) {
-        if (++yielded <= skip) continue;
-        ingest.submit(s.at, s.spec, s.behavior);
-      }
-      ingest.close();
-    });
+    std::uint64_t yielded = 0;
+    for (const auto& s : workload.jobs) {
+      if (++yielded <= skip) continue;
+      ingest.submit(s.at, s.spec, s.behavior);
+    }
+    ingest.close();
   } else {
     // Round-robin the workload across racing producers; close() once all
     // of them are done (multi-producer runs never resume, so skip == 0).
@@ -391,9 +394,12 @@ TEST(ServiceLoop, CleanShutdownAndReopenContinuesToTheSameResult) {
       run_service(workload, service_config(dir.sub("base")));
   ASSERT_EQ(baseline.summary.jobs_completed, workload.jobs.size());
 
-  // First run: stop after a bounded number of drain cycles, mid-workload.
+  // First run: stop after half the baseline's drain cycles. The feed is
+  // deterministic, so the baseline's tick count is a function of the
+  // workload and half of it always stops mid-run.
+  ASSERT_GE(baseline.ticks, 2u);
   ServiceConfig stopped = service_config(dir.sub("split"));
-  stopped.max_ticks = 40;
+  stopped.max_ticks = baseline.ticks / 2;
   const ServiceResult first = run_service(workload, stopped);
   ASSERT_LT(first.wal_decisions, baseline.wal_decisions)
       << "max_ticks did not stop mid-run; shrink it";
@@ -430,8 +436,11 @@ TEST(ServiceLoop, CrashInjectionAtEveryDecisionIndex) {
   TempDir dir("crash");
   const wl::Workload workload = make_workload(16, 9);
 
+  // snapshot_every = 1: every drain cycle that decided anything leaves a
+  // snapshot, so a baseline spanning two or more deciding ticks always has
+  // mid-run images on top of the final one.
   ServiceConfig base_cfg = service_config(dir.sub("base"),
-                                          /*snapshot_every=*/24,
+                                          /*snapshot_every=*/1,
                                           /*keep_snapshots=*/0);
   const ServiceResult baseline = run_service(workload, base_cfg);
   ASSERT_EQ(baseline.summary.jobs_completed, workload.jobs.size());
@@ -516,7 +525,7 @@ TEST(ServiceLoop, CrashInjectionAtEveryDecisionIndex) {
   for (const std::size_t k : continue_at) {
     make_crash_dir(dir.sub("base"), snap_dir, cuts[k], true);
     const ServiceResult resumed =
-        run_service(workload, service_config(snap_dir, 24, 0));
+        run_service(workload, service_config(snap_dir, 1, 0));
     EXPECT_TRUE(resumed.recovered);
     expect_summaries_equal(resumed.summary, baseline.summary);
     ASSERT_EQ(resumed.wal_decisions, baseline.wal_decisions)
