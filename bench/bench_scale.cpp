@@ -176,24 +176,20 @@ void bm_sched_iteration(benchmark::State& state) {
 
 /// Deep-queue iteration sweep: a 1024-node system with a running base
 /// load and a 1k/10k/100k-deep queue of mostly-unfitting jobs, measured as
-/// dry-run iterations with incremental planning on (`/incremental`) and
-/// off (`/rebuild`). The rebuild rows ARE the from-scratch baseline,
-/// recorded in the same results file — the speedup is reproducible from
-/// one binary, like the /indexed vs /scan allocator pairs above.
+/// dry-run iterations of the cached planner (`/incremental`; the name is
+/// kept so the committed baselines and CI scaling gate still match).
 ///
 /// `fragmented` switches the base load from 8 big jobs to 256 small ones
 /// with staggered walltimes: the physical profile grows hundreds of
 /// breakpoints, the adversarial case for profile patching and staircase
 /// rebuilds.
 std::unique_ptr<batch::BatchSystem> make_deep_queue(std::size_t depth,
-                                                    bool incremental,
                                                     bool fragmented) {
   batch::SystemConfig cfg;
   cfg.cluster.node_count = 1024;
   cfg.cluster.cores_per_node = kCoresPerNode;
   cfg.scheduler.reservation_depth = 5;
   cfg.scheduler.reservation_delay_depth = 5;
-  cfg.scheduler.incremental_planning = incremental;
   auto sys = std::make_unique<batch::BatchSystem>(cfg);
 
   // Base running load: 4096 of 8192 cores busy either way.
@@ -225,10 +221,9 @@ std::unique_ptr<batch::BatchSystem> make_deep_queue(std::size_t depth,
   return sys;
 }
 
-void bm_queue_depth(benchmark::State& state, bool incremental,
-                    bool fragmented) {
+void bm_queue_depth(benchmark::State& state, bool fragmented) {
   const auto sys = make_deep_queue(static_cast<std::size_t>(state.range(0)),
-                                   incremental, fragmented);
+                                   fragmented);
   for (auto _ : state) {
     const auto decisions = sys->scheduler().dry_run_iteration();
     benchmark::DoNotOptimize(decisions.size());
@@ -239,9 +234,9 @@ void bm_queue_depth(benchmark::State& state, bool incremental,
 /// cancels the 8 oldest queued and flips one idle node down/up (<1% of
 /// the queue changes), then runs a dry-run iteration — the O(Δ) target
 /// case of the incremental planner.
-void bm_queue_churn(benchmark::State& state, bool incremental) {
+void bm_queue_churn(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
-  const auto sys = make_deep_queue(depth, incremental, /*fragmented=*/false);
+  const auto sys = make_deep_queue(depth, /*fragmented=*/false);
   std::vector<JobId> pending;  // FIFO of queued job ids; index eats front
   pending.reserve(depth + 1024);
   for (std::size_t i = 0; i < depth; ++i)
@@ -293,25 +288,20 @@ int main(int argc, char** argv) {
   for (const std::int64_t n : kNodeCounts) iter->Arg(n);
   iter->Unit(benchmark::kMillisecond);
 
-  for (const bool inc : {true, false}) {
-    const std::string impl = inc ? "incremental" : "rebuild";
-    auto* depth = benchmark::RegisterBenchmark(
-        ("bm_scale_queue_depth/" + impl).c_str(), bm_queue_depth, inc,
-        /*fragmented=*/false);
-    for (const std::int64_t d : {1000, 10000, 100000}) depth->Arg(d);
-    depth->Unit(benchmark::kMillisecond);
+  auto* depth = benchmark::RegisterBenchmark(
+      "bm_scale_queue_depth/incremental", bm_queue_depth, /*fragmented=*/false);
+  for (const std::int64_t d : {1000, 10000, 100000}) depth->Arg(d);
+  depth->Unit(benchmark::kMillisecond);
 
-    auto* frag = benchmark::RegisterBenchmark(
-        ("bm_scale_queue_frag/" + impl).c_str(), bm_queue_depth, inc,
-        /*fragmented=*/true);
-    for (const std::int64_t d : {10000, 100000}) frag->Arg(d);
-    frag->Unit(benchmark::kMillisecond);
+  auto* frag = benchmark::RegisterBenchmark(
+      "bm_scale_queue_frag/incremental", bm_queue_depth, /*fragmented=*/true);
+  for (const std::int64_t d : {10000, 100000}) frag->Arg(d);
+  frag->Unit(benchmark::kMillisecond);
 
-    benchmark::RegisterBenchmark(("bm_scale_queue_churn/" + impl).c_str(),
-                                 bm_queue_churn, inc)
-        ->Arg(100000)
-        ->Unit(benchmark::kMillisecond);
-  }
+  benchmark::RegisterBenchmark("bm_scale_queue_churn/incremental",
+                               bm_queue_churn)
+      ->Arg(100000)
+      ->Unit(benchmark::kMillisecond);
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -204,14 +204,6 @@ struct Parser {
       if (const auto v = one())
         if (const auto b = parse_bool(*v); expect(line, b, key))
           config.stage_timing = *b;
-    } else if (key == "INCREMENTALPLANNING") {
-      if (const auto v = one())
-        if (const auto b = parse_bool(*v); expect(line, b, key))
-          config.incremental_planning = *b;
-    } else if (key == "CHECKINVARIANTS") {
-      if (const auto v = one())
-        if (const auto b = parse_bool(*v); expect(line, b, key))
-          config.check_invariants = *b;
     } else if (key == "ALLOCATIONPOLICY") {
       if (const auto v = one()) {
         if (iequals(*v, "PACK"))

@@ -13,14 +13,6 @@ AvailabilityProfile::AvailabilityProfile(Time origin, CoreCount capacity)
   steps_.push_back({origin, capacity});
 }
 
-void AvailabilityProfile::reset(Time origin, CoreCount capacity) {
-  DBS_REQUIRE(capacity >= 0, "capacity must be non-negative");
-  origin_ = origin;
-  capacity_ = capacity;
-  steps_.clear();
-  steps_.push_back({origin, capacity});
-}
-
 std::size_t AvailabilityProfile::segment_index(Time t) const {
   DBS_REQUIRE(t >= origin_, "query before profile origin");
   // Planning queries overwhelmingly probe at the origin ("now") or past the

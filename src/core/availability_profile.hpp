@@ -38,10 +38,6 @@ class AvailabilityProfile {
   [[nodiscard]] Time origin() const { return origin_; }
   [[nodiscard]] CoreCount capacity() const { return capacity_; }
 
-  /// Re-initializes to a constant `capacity` from `origin`, keeping the
-  /// already-allocated breakpoint storage (the per-iteration rebuild path).
-  void reset(Time origin, CoreCount capacity);
-
   /// Free cores at time `t` (t >= origin).
   [[nodiscard]] CoreCount free_at(Time t) const;
 

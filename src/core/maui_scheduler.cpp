@@ -34,17 +34,12 @@ MauiScheduler::MauiScheduler(rms::Server& server, SchedulerConfig config)
       dfs_(config_.dfs, server.simulator().now()),
       tracker_(server),
       ctx_(server),
-      env_{server,    config_, fairshare_,
-           priority_, dfs_,
-           config_.incremental_planning ? &tracker_ : nullptr},
+      env_{server, config_, fairshare_, priority_, dfs_, tracker_},
       statistics_(server.simulator().now()),
       stages_{&gather_, &statistics_, &prioritize_,
               &classify_, &admission_, &start_backfill_} {
   config_.validate();
-  // The tracker only observes server events when incremental planning is
-  // on; otherwise the gather stage rebuilds from scratch and per-event
-  // patching would be pure overhead.
-  if (config_.incremental_planning) server_.add_observer(&tracker_);
+  server_.add_observer(&tracker_);
   server_.set_allocation_policy(config_.allocation_policy);
   ctx_.sinks.registry = &obs::Registry::global();
   // Calibrate the stage timer outside the first iteration's timed window.
@@ -54,7 +49,7 @@ MauiScheduler::MauiScheduler(rms::Server& server, SchedulerConfig config)
 
 MauiScheduler::~MauiScheduler() {
   // The tracker dies with the scheduler; the server may outlive it.
-  if (config_.incremental_planning) server_.remove_observer(&tracker_);
+  server_.remove_observer(&tracker_);
 }
 
 void MauiScheduler::set_sinks(const obs::Sinks& sinks) {
@@ -67,19 +62,6 @@ void MauiScheduler::set_sinks(const obs::Sinks& sinks) {
 
 void MauiScheduler::attach() {
   server_.set_scheduler_trigger([this] { iterate(); });
-}
-
-AvailabilityProfile MauiScheduler::physical_profile(Time now) const {
-  const cluster::Cluster& cl = server_.cluster();
-  AvailabilityProfile profile(now, cl.total_cores());
-  for (const rms::Job* job : server_.jobs().running())
-    profile.subtract(now, hold_end_for(*job, now), job->allocated_cores());
-  // Down/offline nodes: their unused cores are unavailable indefinitely.
-  for (const cluster::Node& node : cl.nodes())
-    if (!node.available())
-      profile.subtract(now, Time::far_future(),
-                       node.total_cores() - node.used_cores());
-  return profile;
 }
 
 void MauiScheduler::advance_cache_base() {
@@ -280,7 +262,7 @@ void MauiScheduler::restore_service_state(const ServiceState& s) {
   statistics_.restore(s.last_usage_update);
   fairshare_.restore_state(s.fairshare);
   dfs_.restore_state(s.dfs);
-  if (config_.incremental_planning) tracker_.rebuild();
+  tracker_.rebuild();
   if (poll_event_.valid()) {
     server_.simulator().cancel(poll_event_);
     poll_event_ = EventId::invalid();

@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/availability_profile.hpp"
 #include "core/dfs_engine.hpp"
 #include "core/fairshare.hpp"
 #include "core/pipeline/classify_stage.hpp"
@@ -120,10 +119,6 @@ class MauiScheduler {
   /// Iterations retained in history().
   static constexpr std::size_t kHistoryCap = 4096;
 
-  /// Physical availability: capacity minus running jobs (to each job's
-  /// walltime end) minus down-node capacity. Public for tests/benches.
-  [[nodiscard]] AvailabilityProfile physical_profile(Time now) const;
-
   // --- durable-state surface (svc::StateStore) ----------------------------
   /// Scheduler-side service state: everything an iteration builds on that
   /// is not derivable from the server. Per-iteration planning artifacts
@@ -143,7 +138,7 @@ class MauiScheduler {
   [[nodiscard]] ServiceState save_service_state() const;
   /// Restores into a freshly constructed scheduler with the same config:
   /// fairshare/DFS ledgers and the usage watermark are loaded, the poll
-  /// timer re-armed at its recorded absolute time, and the incremental
+  /// timer re-armed at its recorded absolute time, and the persistent
   /// physical profile rebuilt from the restored server.
   void restore_service_state(const ServiceState& s);
 
@@ -170,9 +165,8 @@ class MauiScheduler {
   Fairshare fairshare_;
   PriorityEngine priority_;
   DfsEngine dfs_;
-  /// Persistent physical profile, kept in sync via server observation;
-  /// registered only when config_.incremental_planning (declared before
-  /// env_, which points at it).
+  /// Persistent physical profile, kept in sync via server observation
+  /// (declared before env_, which refers to it).
   PhysicalProfileTracker tracker_;
   IterationStats last_;
   IterationHistory history_{kHistoryCap};

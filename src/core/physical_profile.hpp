@@ -14,9 +14,10 @@
 // origin to `now`, re-extends holds of jobs running past their walltime
 // (the `hold_end_for` clamp) via a lazy min-heap of hold ends, and syncs
 // the down-node free-core block against the cluster ledger. After
-// advance() the profile is byte-for-byte identical to what
-// IterationContext::rebuild_physical_profile would have produced — the
-// check_invariants config knob cross-checks exactly that every iteration.
+// advance() the profile is byte-for-byte identical to a from-scratch build
+// over the running set and the down nodes. rebuild() is that build; a
+// durable-state restore relies on it, and the event-storm tests check the
+// tracker against a reference build at every scheduler trigger.
 #pragma once
 
 #include <unordered_map>
@@ -31,8 +32,8 @@ namespace dbs::core {
 /// End of a running job's physical hold as seen from `now`: its walltime
 /// end, clamped forward for jobs running past their walltime so the hold
 /// never collapses to an empty interval. The single definition shared by
-/// the from-scratch rebuild, the incremental tracker and the admission
-/// stage's victim patches — the clamps can never diverge.
+/// the tracker and the admission stage's victim patches — the clamps can
+/// never diverge.
 [[nodiscard]] inline Time hold_end_for(const rms::Job& job, Time now) {
   return max(job.walltime_end(), now + Duration::micros(1));
 }

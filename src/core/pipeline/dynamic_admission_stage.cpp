@@ -88,9 +88,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
                                 : env.server.cluster().free_cores();
         ctx.rebuild_planning_profile(env.config.dynamic_partition_cores);
         plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
-                       ctx.baseline_plan,
-                       env.config.incremental_planning ? &ctx.classify_cache
-                                                       : nullptr);
+                       ctx.baseline_plan, &ctx.classify_cache);
         protected_subset_into(ctx.prioritized, baseline,
                               env.config.reservation_delay_depth,
                               ctx.protected_jobs);
@@ -129,12 +127,10 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
                                 ? ctx.physical_free + freed
                                 : env.server.cluster().free_cores();
         ctx.rebuild_planning_profile(env.config.dynamic_partition_cores);
-        ctx.prioritized = env.priority.prioritize(
-            eligible_static_jobs(env.server, env.config), now);
+        eligible_static_jobs_into(env.server, env.config, ctx.prioritized);
+        ctx.priority_cache.order(ctx.prioritized, env.priority, now);
         plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
-                       ctx.baseline_plan,
-                       env.config.incremental_planning ? &ctx.classify_cache
-                                                       : nullptr);
+                       ctx.baseline_plan, &ctx.classify_cache);
         protected_subset_into(ctx.prioritized, baseline,
                               env.config.reservation_delay_depth,
                               ctx.protected_jobs);

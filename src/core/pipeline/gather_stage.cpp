@@ -1,6 +1,5 @@
 #include "core/pipeline/gather_stage.hpp"
 
-#include "common/assert.hpp"
 #include "core/physical_profile.hpp"
 #include "core/scheduler_config.hpp"
 
@@ -14,23 +13,13 @@ void GatherStage::run(PipelineEnv& env, IterationContext& ctx) {
                       env.server.jobs().dyn_requests().end());
   ctx.stats.eligible_dynamic = ctx.requests.size();
 
-  // The iteration's physical profile: either the persistent tracker
-  // advanced to now (O(Δ) in state changes since the last iteration) or a
-  // from-scratch rebuild over the whole running set. Copied into the
-  // context either way — the admission stage patches its copy in place on
-  // every state change (grant, malleable shrink, preemption) and dry runs
-  // must not perturb the tracker.
-  if (env.tracker != nullptr) {
-    env.tracker->advance(ctx.now);
-    if (env.config.check_invariants) {
-      ctx.rebuild_physical_profile();
-      DBS_REQUIRE(ctx.physical == env.tracker->profile(),
-                  "incremental physical profile diverged from rebuild");
-    }
-    ctx.physical = env.tracker->profile();
-  } else {
-    ctx.rebuild_physical_profile();
-  }
+  // The iteration's physical profile: the persistent tracker advanced to
+  // now (O(Δ) in state changes since the last iteration), copied into the
+  // context — the admission stage patches its copy in place on every
+  // state change (grant, malleable shrink, preemption) and dry runs must
+  // not perturb the tracker.
+  env.tracker.advance(ctx.now);
+  ctx.physical = env.tracker.profile();
   ctx.physical_free = env.server.cluster().free_cores();
   ctx.rebuild_planning_profile(env.config.dynamic_partition_cores);
 }

@@ -1,7 +1,6 @@
 #include "core/pipeline/iteration_context.hpp"
 
 #include "core/partition.hpp"
-#include "core/physical_profile.hpp"
 
 namespace dbs::core {
 
@@ -27,18 +26,6 @@ void IterationContext::begin_iteration(Time at, std::uint64_t iteration_number,
   classify_cache.reset_counters();
   start_cache.reset_counters();
   applier.begin_iteration(dry_run);
-}
-
-void IterationContext::rebuild_physical_profile() {
-  const cluster::Cluster& cl = server.cluster();
-  physical.reset(now, cl.total_cores());
-  for (const rms::Job* job : server.jobs().running())
-    physical.subtract(now, hold_end_for(*job, now), job->allocated_cores());
-  // Down/offline nodes: their unused cores are unavailable indefinitely.
-  // One aggregate subtract over the same interval equals the per-node
-  // subtracts, and the ledger keeps the sum in O(1) — no node scan.
-  if (const CoreCount down = cl.unavailable_free_cores(); down > 0)
-    physical.subtract(now, Time::far_future(), down);
 }
 
 void IterationContext::rebuild_planning_profile(

@@ -69,11 +69,6 @@ struct IterationContext {
   /// stream, keeps all scratch storage.
   void begin_iteration(Time at, std::uint64_t iteration_number, bool dry_run);
 
-  /// Rebuilds `physical` in place from the running set and down nodes:
-  /// capacity minus running jobs (to each job's walltime end) minus
-  /// down-node capacity.
-  void rebuild_physical_profile();
-
   /// Re-derives `planning` from `physical` (dynamic-partition clamp).
   void rebuild_planning_profile(CoreCount dynamic_partition_cores);
 

@@ -8,10 +8,7 @@ namespace dbs::core {
 
 /// Queued jobs eligible this iteration: every queued job, clamped to the
 /// first max_eligible_per_user per user when that cap is configured.
-[[nodiscard]] std::vector<const rms::Job*> eligible_static_jobs(
-    const rms::Server& server, const SchedulerConfig& config);
-
-/// Allocation-free variant: clears `out` and fills it, reusing capacity.
+/// Clears `out` and fills it, reusing its capacity.
 void eligible_static_jobs_into(const rms::Server& server,
                                const SchedulerConfig& config,
                                std::vector<const rms::Job*>& out);

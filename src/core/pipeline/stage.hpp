@@ -3,7 +3,7 @@
 // MauiScheduler::iterate() is an ordered run of six stages, one per step
 // group of the paper's Algorithm 2:
 //
-//   GatherStage            steps 2-3   snapshot queues, rebuild profiles
+//   GatherStage            steps 2-3   snapshot queues, advance profiles
 //   StatisticsStage        steps 4-5   fairshare usage, DFS interval roll
 //   PrioritizeStage        steps 6-9   eligibility + priority order
 //   ClassifyStage          step 10     tentative plan, StartNow/StartLater
@@ -34,9 +34,8 @@ struct PipelineEnv {
   Fairshare& fairshare;
   PriorityEngine& priority;
   DfsEngine& dfs;
-  /// Persistent physical profile; null when incremental planning is off
-  /// (the gather stage then rebuilds from the running set).
-  PhysicalProfileTracker* tracker = nullptr;
+  /// Persistent physical profile, advanced by the gather stage.
+  PhysicalProfileTracker& tracker;
 };
 
 class Stage {

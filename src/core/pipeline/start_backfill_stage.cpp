@@ -12,7 +12,7 @@ void StartBackfillStage::run(PipelineEnv& env, IterationContext& ctx) {
                                env.config.enable_backfill && !ctx.drain,
                                ctx.drain};
   plan_jobs_into(ctx.prioritized, ctx.planning, start_opts, ctx.final_plan,
-                 env.config.incremental_planning ? &ctx.start_cache : nullptr);
+                 &ctx.start_cache);
   for (const Reservation& r : ctx.final_plan.table.items()) {
     if (!r.start_now) {
       ctx.applier.reserve(r.job, r.cores, r.start);

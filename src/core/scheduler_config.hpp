@@ -1,4 +1,6 @@
-// All administrator-facing scheduler knobs in one aggregate.
+// All administrator-facing scheduler knobs in one aggregate. Planning
+// itself is not a knob: every iteration plans from the persistent physical
+// profile, the plan-verdict caches and the priority-order cache.
 #pragma once
 
 #include <algorithm>
@@ -39,17 +41,6 @@ struct SchedulerConfig {
 
   /// Throttling policy: at most this many eligible queued jobs per user.
   std::optional<std::size_t> max_eligible_per_user;
-
-  /// Incremental planning (INCREMENTALPLANNING): O(Δ)-in-state-changes
-  /// iterations. The physical profile is a persistent structure patched on
-  /// job events instead of rebuilt from the running set; the planning
-  /// walks answer their backfill tails from versioned plan caches; the
-  /// priority order reuses the previous iteration's sort. Decisions,
-  /// traces and metrics are byte-identical to the from-scratch path.
-  bool incremental_planning = true;
-  /// CHECKINVARIANTS: cross-check every incremental structure against its
-  /// from-scratch rebuild each iteration (expensive; tests and debugging).
-  bool check_invariants = false;
 
   /// Per-stage pipeline timing (STAGETIMING): fills
   /// IterationStats::stage_wall_us, the scheduler.stage_iteration_us.*

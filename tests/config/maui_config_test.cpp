@@ -128,14 +128,20 @@ TEST(MauiConfig, IssuesReportedWithLineNumbers) {
       "DFSINTERVAL notaduration\n"
       "USERCFG[u] NOT_A_PAIR\n"
       "USERCFG[ ] DFSDYNDELAYPERM=1\n"
-      "MEASURETHREADS 4\n");
-  ASSERT_EQ(r.issues.size(), 5u);
+      "MEASURETHREADS 4\n"
+      "INCREMENTALPLANNING FALSE\n"
+      "CHECKINVARIANTS TRUE\n");
+  ASSERT_EQ(r.issues.size(), 7u);
   EXPECT_EQ(r.issues[0].line, 2);
   EXPECT_EQ(r.issues[1].line, 3);
   EXPECT_EQ(r.issues[2].line, 4);
   // A retired key is an unknown key, reported at its line.
   EXPECT_EQ(r.issues[4].line, 6);
   EXPECT_EQ(r.issues[4].message, "unknown key 'MEASURETHREADS'");
+  EXPECT_EQ(r.issues[5].line, 7);
+  EXPECT_EQ(r.issues[5].message, "unknown key 'INCREMENTALPLANNING'");
+  EXPECT_EQ(r.issues[6].line, 8);
+  EXPECT_EQ(r.issues[6].message, "unknown key 'CHECKINVARIANTS'");
   // Recognized settings before/after bad lines still applied.
   EXPECT_EQ(r.config.dfs.policy, core::DfsPolicy::TargetDelay);
 }

@@ -20,7 +20,9 @@ struct StageFixture {
   StageFixture() {
     cfg.reservation_depth = 2;
     cfg.reservation_delay_depth = 2;
+    sys.server.add_observer(&tracker);
   }
+  ~StageFixture() { sys.server.remove_observer(&tracker); }
 
   void begin(Time now) { ctx.begin_iteration(now, 1, /*dry_run=*/false); }
 
@@ -36,7 +38,8 @@ struct StageFixture {
   PriorityEngine priority{cfg.weights, cfg.cred_priorities, &fairshare};
   DfsEngine dfs{cfg.dfs};
   IterationContext ctx{sys.server};
-  PipelineEnv env{sys.server, cfg, fairshare, priority, dfs};
+  PhysicalProfileTracker tracker{sys.server};
+  PipelineEnv env{sys.server, cfg, fairshare, priority, dfs, tracker};
 };
 
 TEST(PipelineStages, StageNamesMatchAlgorithmOrder) {
