@@ -1,10 +1,20 @@
 // Time-ordered event queue with stable FIFO ordering for equal timestamps
-// and O(log n) cancellation via tombstones.
+// and amortized O(1) cancellation.
+//
+// The heap holds only small POD entries (time, ordering key, slot index);
+// the callbacks live in a slab of slots recycled through a free list. An
+// EventId is `generation << 32 | slot`: every time a slot is released (its
+// event fired, or its cancelled entry left the heap) the slot's generation
+// is bumped, so a stale id — a fired event, a cancelled one, or one whose
+// slot has since been reused — never matches again. Cancelling frees the
+// callback (and its captures) at once; the heap entry lingers as a
+// tombstone until it surfaces at the top or a majority-rule compaction
+// sheds it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
@@ -31,19 +41,16 @@ class EventQueue {
   /// Returns a handle usable with cancel().
   EventId push(Time at, EventFn fn, Lane lane = Lane::Normal);
 
-  /// Cancels a pending event. Returns false if it already fired, was
-  /// already cancelled, or never existed — and records a tombstone only
-  /// for genuinely pending events, so repeated cancels of fired ids do not
-  /// accumulate state.
+  /// Cancels a pending event and destroys its callback. Returns false if
+  /// it already fired, was already cancelled, or never existed; such calls
+  /// change nothing.
   bool cancel(EventId id);
 
-  [[nodiscard]] bool empty() const;
+  [[nodiscard]] bool empty() const { return live_ == 0; }
   /// Exact number of pending (non-cancelled) events, O(1).
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return live_; }
   /// Cancelled entries still lingering in the heap as tombstones, O(1).
-  [[nodiscard]] std::size_t cancelled_count() const {
-    return cancelled_.size();
-  }
+  [[nodiscard]] std::size_t cancelled_count() const { return tombstones_; }
   /// Times the heap was rebuilt to shed tombstones (observability).
   [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
 
@@ -71,24 +78,31 @@ class EventQueue {
   }
 
  private:
+  /// `key` is `lane << 63 | seq`, so ordering by (at, key) is ordering by
+  /// (time, lane, push sequence).
   struct Entry {
     Time at;
-    std::uint64_t seq;
-    EventId id;
-    Lane lane;
-    EventFn fn;
+    std::uint64_t key;
+    std::uint32_t slot;
   };
   /// Min-heap order via std::*_heap's max-heap convention: `a` sorts
-  /// later than `b` when it fires after it — later time, then (equal
-  /// times) the Normal lane, then higher sequence number.
+  /// later than `b` when it fires after it.
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
-      if (a.lane != b.lane) return a.lane > b.lane;
-      return a.seq > b.seq;
+      return a.key > b.key;
     }
   };
+  enum class SlotState : std::uint8_t { Free, Pending, Cancelled };
+  struct Slot {
+    EventFn fn;
+    std::uint32_t gen = 0;
+    SlotState state = SlotState::Free;
+  };
 
+  /// Bumps the slot's generation and returns it to the free list; a slot
+  /// whose generation would wrap is retired instead, so no id is reissued.
+  void release(std::uint32_t slot) const;
   /// Drops cancelled entries from the front.
   void skip_tombstones() const;
   /// Rebuilds the heap without the tombstones once they dominate it, so
@@ -97,13 +111,14 @@ class EventQueue {
   /// O(pending) instead of O(pushed).
   void maybe_compact();
 
-  // Invariant: the heap holds exactly pending_ ∪ cancelled_ (cancelled
-  // entries linger as interior tombstones until they surface at the top
-  // or a compaction sheds them), so pending_.size() is the exact live
-  // count.
+  // Invariant: the heap holds one entry per Pending or Cancelled slot;
+  // live_ counts the Pending ones and tombstones_ the Cancelled ones.
+  // Shedding a tombstone from the top mutates these in const next_time().
   mutable std::vector<Entry> heap_;
-  mutable std::unordered_set<EventId> cancelled_;
-  std::unordered_set<EventId> pending_;
+  mutable std::vector<Slot> slots_;
+  mutable std::vector<std::uint32_t> free_;
+  mutable std::size_t tombstones_ = 0;
+  std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t compactions_ = 0;
 };

@@ -56,7 +56,6 @@ class Simulator {
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
  private:
   /// Advances the clock to `at` and runs `fn` (the one firing path shared

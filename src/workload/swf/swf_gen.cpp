@@ -22,6 +22,8 @@ bool SwfGen::append_next(std::string& out) {
   if (produced_ >= params_.jobs) return false;
   DBS_REQUIRE(params_.users > 0, "need at least one user");
   DBS_REQUIRE(params_.run_spread_s > 0, "runtime spread must be positive");
+  DBS_REQUIRE(params_.mean_interarrival_s > 0,
+              "mean interarrival must be positive");
   if (!seeded_) {
     state_ = params_.seed;
     seeded_ = true;

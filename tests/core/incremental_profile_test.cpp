@@ -14,11 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "../property/reference_physical_profile.hpp"
 #include "../testutil.hpp"
+#include "apps/app_model.hpp"
 #include "batch/batch_system.hpp"
 #include "core/availability_profile.hpp"
 #include "core/backfill.hpp"
@@ -275,6 +278,7 @@ struct StormResult {
   std::size_t decided = 0;  ///< comparisons with a non-empty stream
   std::size_t mismatches = 0;
   std::string first_mismatch;
+  std::uint64_t dyn_releases = 0;
 };
 
 /// The checks run at every scheduler trigger, before the live iteration.
@@ -363,10 +367,46 @@ class StormOracle {
   StormResult result_;
 };
 
+/// One storm's seed and whether its workload also releases cores.
+struct StormParams {
+  std::uint64_t seed = 0;
+  bool release_churn = false;
+};
+
+/// Prints the bare seed: test discovery names each case by its printed
+/// value, and the instantiation prefix already says which workload it is.
+void PrintTo(const StormParams& p, std::ostream* os) { *os << p.seed; }
+
+/// Scripted jobs that hand cores back in three tm_dynfree steps and then
+/// ask for more, so the tracker's dynamic-release path carries load. The
+/// synthetic generator's evolving jobs only ever grow. They arrive early,
+/// ahead of most of the synthetic backlog, so most of them get to run.
+void submit_release_churn(batch::BatchSystem& sys, std::uint64_t seed) {
+  for (int k = 0; k < 16; ++k) {
+    const Duration runtime =
+        Duration::minutes(10 + (k * 7 + static_cast<int>(seed)) % 20);
+    const CoreCount cores = k % 3 == 0 ? 8 : 4;
+    std::vector<apps::ScriptedApp::Step> steps;
+    for (int r = 0; r < 3; ++r)
+      steps.push_back({runtime.scaled(0.2 + 0.15 * r), 0, 1, 1.1,
+                       Duration::zero()});
+    steps.push_back({runtime.scaled(0.7), 2, 0, 0.9, Duration::zero()});
+    sys.submit_at(at(20 + 120 * k + static_cast<long>(seed % 5) * 37),
+                  test::spec("rel" + std::to_string(k), cores,
+                             runtime.scaled(1.5),
+                             k % 2 == 0 ? "carol" : "dave"),
+                  [runtime, steps] {
+                    return std::make_unique<apps::ScriptedApp>(runtime, steps);
+                  });
+  }
+}
+
 /// One seeded storm: synthetic evolving workload plus node failures,
-/// restores and cancels injected mid-run, with the oracle run at every
+/// restores and cancels injected mid-run (and, with release churn,
+/// scripted jobs that release cores), with the oracle run at every
 /// scheduler trigger.
-StormResult run_storm(std::uint64_t seed) {
+StormResult run_storm(const StormParams& params) {
+  const std::uint64_t seed = params.seed;
   batch::SystemConfig cfg;
   cfg.cluster.node_count = 8;
   cfg.cluster.cores_per_node = 8;
@@ -388,6 +428,7 @@ StormResult run_storm(std::uint64_t seed) {
   obs::Registry registry;
   sys.set_sinks({nullptr, &registry});
   sys.submit_workload(wl::generate_synthetic(wp));
+  if (params.release_churn) submit_release_churn(sys, seed);
 
   StormOracle oracle(sys);
   sys.server().set_scheduler_trigger([&] {
@@ -413,26 +454,40 @@ StormResult run_storm(std::uint64_t seed) {
   }
 
   sys.run_until(Time::from_seconds(3 * 3600));
-  return oracle.result();
+  StormResult result = oracle.result();
+  const obs::Counter* releases = registry.find_counter("dyn.releases");
+  result.dyn_releases = releases == nullptr ? 0 : releases->value();
+  return result;
 }
 
-class IncrementalStorm : public ::testing::TestWithParam<std::uint64_t> {};
+class IncrementalStorm : public ::testing::TestWithParam<StormParams> {};
 
 // The "rebuild path" is a cold scheduler: restored from the live one's
 // service state, it plans with every cache empty.
 TEST_P(IncrementalStorm, TraceIsByteIdenticalToRebuildPath) {
-  const std::uint64_t seed = GetParam();
-  const StormResult r = run_storm(seed);
+  const std::uint64_t seed = GetParam().seed;
+  const StormResult r = run_storm(GetParam());
   RecordProperty("comparisons", static_cast<int>(r.comparisons));
   RecordProperty("decided", static_cast<int>(r.decided));
   EXPECT_GT(r.decided, 100u) << "seed " << seed;
+  if (GetParam().release_churn) {
+    EXPECT_GT(r.dyn_releases, 10u);
+  }
   EXPECT_EQ(r.mismatches, 0u) << "seed " << seed << ", first mismatch "
                               << r.first_mismatch;
 }
 
+std::vector<StormParams> storms(std::uint64_t count, bool release_churn) {
+  std::vector<StormParams> out;
+  for (std::uint64_t seed = 0; seed < count; ++seed)
+    out.push_back({seed, release_churn});
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalStorm,
-                         ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                           11));
+                         ::testing::ValuesIn(storms(12, false)));
+INSTANTIATE_TEST_SUITE_P(ReleaseChurn, IncrementalStorm,
+                         ::testing::ValuesIn(storms(6, true)));
 
 }  // namespace
 }  // namespace dbs::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -207,6 +208,79 @@ TEST(EventQueue, EmptyTrueWithOnlyTombstonesLeft) {
   // logically empty — without draining pops.
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueue, ReusedSlotDoesNotRevivePoppedId) {
+  EventQueue q;
+  bool b_fired = false;
+  const EventId a = q.push(Time::from_seconds(1), [] {});
+  (void)q.pop();
+  // B takes A's freed slot; A's id names the slot's previous generation.
+  const EventId b = q.push(Time::from_seconds(2), [&] { b_fired = true; });
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a.value() & 0xffff'ffffU, b.value() & 0xffff'ffffU);
+  EXPECT_FALSE(q.cancel(a));
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().second();
+  EXPECT_TRUE(b_fired);
+}
+
+TEST(EventQueue, ReusedSlotDoesNotReviveCancelledId) {
+  EventQueue q;
+  const EventId a = q.push(Time::from_seconds(1), [] {});
+  EXPECT_TRUE(q.cancel(a));
+  EXPECT_TRUE(q.empty());
+  // The tombstone is shed by the next peek, which frees A's slot for B.
+  bool b_fired = false;
+  q.push(Time::from_seconds(2), [&] { b_fired = true; });
+  EXPECT_EQ(q.next_time(), Time::from_seconds(2));
+  const EventId c = q.push(Time::from_seconds(3), [] {});
+  EXPECT_EQ(a.value() & 0xffff'ffffU, c.value() & 0xffff'ffffU);
+  EXPECT_FALSE(q.cancel(a));
+  EXPECT_EQ(q.size(), 2u);
+  q.pop().second();
+  EXPECT_TRUE(b_fired);
+  EXPECT_TRUE(q.cancel(c));
+}
+
+TEST(EventQueue, CancelReleasesCapturesImmediately) {
+  EventQueue q;
+  auto payload = std::make_shared<int>(7);
+  const EventId id =
+      q.push(Time::from_seconds(1), [payload] { (void)*payload; });
+  q.push(Time::from_seconds(2), [] {});
+  EXPECT_EQ(payload.use_count(), 2);
+  EXPECT_TRUE(q.cancel(id));
+  // The heap entry is still a tombstone, but the callback is gone.
+  EXPECT_EQ(q.cancelled_count(), 1u);
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(EventQueue, PopReleasesCapturesWithTheCallback) {
+  EventQueue q;
+  auto payload = std::make_shared<int>(7);
+  q.push(Time::from_seconds(1), [payload] { (void)*payload; });
+  {
+    auto [at, fn] = q.pop();
+    EXPECT_EQ(payload.use_count(), 2);
+  }
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(EventQueue, CallbackPushingManyEventsGrowsTheSlab) {
+  EventQueue q;
+  std::vector<int> fired;
+  // The first callback pushes enough events to reallocate the slab while
+  // it runs; it was moved out of the slab by pop(), so that is safe.
+  q.push(Time::from_seconds(1), [&] {
+    fired.push_back(-1);
+    for (int i = 0; i < 1000; ++i)
+      q.push(Time::from_seconds(2), [&fired, i] { fired.push_back(i); });
+  });
+  while (!q.empty()) q.pop().second();
+  ASSERT_EQ(fired.size(), 1001u);
+  for (int i = 0; i < 1000; ++i)
+    EXPECT_EQ(fired[static_cast<std::size_t>(i) + 1], i);
 }
 
 }  // namespace

@@ -229,6 +229,14 @@ TEST(SwfGen, StreamMatchesEagerWriter) {
   EXPECT_EQ(drained.str(), eager.str());
 }
 
+TEST(SwfGen, ZeroMeanInterarrivalRejected) {
+  SwfGenParams gp;
+  gp.jobs = 5;
+  gp.mean_interarrival_s = 0;
+  std::ostringstream out;
+  EXPECT_THROW(generate_swf(out, gp), precondition_error);
+}
+
 TEST(SwfGen, CheckedInExcerptParsesCleanly) {
   std::ifstream in(std::string(DBS_TEST_DATA_DIR) + "/excerpt_1k.swf");
   ASSERT_TRUE(in.good()) << "missing tests/data/excerpt_1k.swf";

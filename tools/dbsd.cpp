@@ -41,6 +41,7 @@
 
 #include "batch/batch_system.hpp"
 #include "batch/sharded_system.hpp"
+#include "cli_number.hpp"
 #include "config/maui_config.hpp"
 #include "metrics/report.hpp"
 #include "svc/ingest.hpp"
@@ -135,19 +136,23 @@ int main(int argc, char** argv) {
     if (arg == "--swf") swf_path = next();
     else if (arg == "--state-dir") state_dir = next();
     else if (arg == "--config") config_path = next();
-    else if (arg == "--nodes") nodes = std::stoul(next());
-    else if (arg == "--cores-per-node") cores_per_node = std::stoi(next());
-    else if (arg == "--snapshot-every") snapshot_every = std::stoull(next());
-    else if (arg == "--tick-ms") tick_ms = std::stoll(next());
-    else if (arg == "--throttle-ms") throttle_ms = std::stoll(next());
-    else if (arg == "--max-jobs") max_jobs = std::stoull(next());
-    else if (arg == "--max-ticks") max_ticks = std::stoull(next());
-    else if (arg == "--swf-overlay-dynamic") overlay_pct = std::stod(next());
-    else if (arg == "--swf-seed") overlay_seed = std::stoull(next());
+    else if (arg == "--nodes") cli::parse_into(nodes, arg, next());
+    else if (arg == "--cores-per-node")
+      cli::parse_into(cores_per_node, arg, next());
+    else if (arg == "--snapshot-every")
+      cli::parse_into(snapshot_every, arg, next());
+    else if (arg == "--tick-ms") cli::parse_into(tick_ms, arg, next());
+    else if (arg == "--throttle-ms") cli::parse_into(throttle_ms, arg, next());
+    else if (arg == "--max-jobs") cli::parse_into(max_jobs, arg, next());
+    else if (arg == "--max-ticks") cli::parse_into(max_ticks, arg, next());
+    else if (arg == "--swf-overlay-dynamic")
+      cli::parse_into(overlay_pct, arg, next());
+    else if (arg == "--swf-seed") cli::parse_into(overlay_seed, arg, next());
     else if (arg == "--summary-json") summary_json = next();
     else if (arg == "--quiet") quiet = true;
-    else if (arg == "--shards") shards = std::stoul(next());
-    else if (arg == "--shard-threads") shard_threads = std::stoul(next());
+    else if (arg == "--shards") cli::parse_into(shards, arg, next());
+    else if (arg == "--shard-threads")
+      cli::parse_into(shard_threads, arg, next());
     else if (arg == "--shard-by") {
       const std::string by = next();
       if (by == "hash" || by == "user") shard_by = core::RoutePolicy::UserHash;
@@ -179,6 +184,10 @@ int main(int argc, char** argv) {
   if (swf_path.empty()) return usage(argv[0], 2);
   if (tick_ms <= 0) {
     std::cerr << "--tick-ms must be >= 1\n";
+    return 2;
+  }
+  if (cores_per_node < 1) {
+    std::cerr << "--cores-per-node must be >= 1\n";
     return 2;
   }
   if (shards < 1 || shard_threads < 1) {

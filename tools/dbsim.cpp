@@ -51,6 +51,7 @@
 #include "batch/experiment.hpp"
 #include "batch/parallel_runner.hpp"
 #include "batch/sharded_system.hpp"
+#include "cli_number.hpp"
 #include "config/maui_config.hpp"
 #include "core/pipeline/iteration_context.hpp"
 #include "obs/recorder/manifest.hpp"
@@ -157,9 +158,10 @@ int main(int argc, char** argv) {
     if (arg == "--trace") trace_path = next();
     else if (arg == "--swf") swf_path = next();
     else if (arg == "--swf-window")
-      swf_window = static_cast<std::size_t>(std::stoul(next()));
-    else if (arg == "--swf-overlay-dynamic") swf_overlay_pct = std::stod(next());
-    else if (arg == "--swf-seed") swf_seed = std::stoull(next());
+      cli::parse_into(swf_window, arg, next());
+    else if (arg == "--swf-overlay-dynamic")
+      cli::parse_into(swf_overlay_pct, arg, next());
+    else if (arg == "--swf-seed") cli::parse_into(swf_seed, arg, next());
     else if (arg == "--swf-policy") {
       const std::string policy = next();
       if (policy == "strict") swf_strict = true;
@@ -173,8 +175,9 @@ int main(int argc, char** argv) {
     else if (arg == "--swf-materialize") swf_materialize = true;
     else if (arg == "--serve") serve = true;
     else if (arg == "--config") config_path = next();
-    else if (arg == "--nodes") nodes = static_cast<std::size_t>(std::stoul(next()));
-    else if (arg == "--cores-per-node") cores_per_node = std::stoi(next());
+    else if (arg == "--nodes") cli::parse_into(nodes, arg, next());
+    else if (arg == "--cores-per-node")
+      cli::parse_into(cores_per_node, arg, next());
     else if (arg == "--qstat") qstat = true;
     else if (arg == "--dry-run-iteration") dry_run_iteration = true;
     else if (arg == "--stage-breakdown") stage_breakdown = true;
@@ -191,13 +194,13 @@ int main(int argc, char** argv) {
     else if (arg == "--metrics-json") metrics_json_path = next();
     else if (arg == "--record-out") record_out_path = next();
     else if (arg == "--replications")
-      replications = static_cast<std::size_t>(std::stoul(next()));
+      cli::parse_into(replications, arg, next());
     else if (arg == "--jobs")
-      run_jobs = static_cast<std::size_t>(std::stoul(next()));
+      cli::parse_into(run_jobs, arg, next());
     else if (arg == "--shards")
-      shards = static_cast<std::size_t>(std::stoul(next()));
+      cli::parse_into(shards, arg, next());
     else if (arg == "--shard-threads")
-      shard_threads = static_cast<std::size_t>(std::stoul(next()));
+      cli::parse_into(shard_threads, arg, next());
     else if (arg == "--shard-by") {
       const std::string by = next();
       if (by == "hash" || by == "user") shard_by = core::RoutePolicy::UserHash;
@@ -262,6 +265,10 @@ int main(int argc, char** argv) {
   }
   if (replications < 1 || run_jobs < 1) {
     std::cerr << "--replications and --jobs must be >= 1\n";
+    return 2;
+  }
+  if (cores_per_node < 1) {
+    std::cerr << "--cores-per-node must be >= 1\n";
     return 2;
   }
   // `-` conventionally means stdout; the recorder writes an indexed binary

@@ -21,6 +21,7 @@
 #include <iostream>
 #include <string>
 
+#include "cli_number.hpp"
 #include "metrics/timeseries.hpp"
 #include "obs/recorder/query.hpp"
 #include "obs/recorder/reader.hpp"
@@ -109,16 +110,16 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--job") {
-      job = std::stoull(next());
+      cli::parse_into(job, arg, next());
       have_job = true;
     } else if (arg == "--from") {
-      from_s = std::stod(next());
+      cli::parse_into(from_s, arg, next());
       have_from = true;
     } else if (arg == "--to") {
-      to_s = std::stod(next());
+      cli::parse_into(to_s, arg, next());
       have_to = true;
     } else if (arg == "--metric") metric = next();
-    else if (arg == "--bucket") bucket_s = std::stoll(next());
+    else if (arg == "--bucket") cli::parse_into(bucket_s, arg, next());
     else if (arg == "--format") format = next();
     else if (arg == "--trace") trace_path = next();
     else return usage(argv[0], 2);

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <string>
 
+#include "cli_number.hpp"
 #include "workload/swf/swf_gen.hpp"
 
 namespace {
@@ -36,19 +37,19 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs") {
-      params.jobs = std::stoull(next());
+      dbs::cli::parse_into(params.jobs, arg, next());
     } else if (arg == "--seed") {
-      params.seed = std::stoull(next());
+      dbs::cli::parse_into(params.seed, arg, next());
     } else if (arg == "--max-procs") {
-      params.max_procs = std::stoull(next());
+      dbs::cli::parse_into(params.max_procs, arg, next());
     } else if (arg == "--users") {
-      params.users = std::stoull(next());
+      dbs::cli::parse_into(params.users, arg, next());
     } else if (arg == "--mean-interarrival") {
-      params.mean_interarrival_s = std::stoull(next());
+      dbs::cli::parse_into(params.mean_interarrival_s, arg, next());
     } else if (arg == "--min-run") {
-      params.min_run_s = std::stoull(next());
+      dbs::cli::parse_into(params.min_run_s, arg, next());
     } else if (arg == "--run-spread") {
-      params.run_spread_s = std::stoull(next());
+      dbs::cli::parse_into(params.run_spread_s, arg, next());
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--help" || arg == "-h") {
@@ -59,6 +60,11 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
+  }
+  if (params.users == 0 || params.mean_interarrival_s == 0 ||
+      params.run_spread_s == 0) {
+    std::cerr << "--users, --mean-interarrival and --run-spread must be >= 1\n";
+    return 2;
   }
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::binary);
