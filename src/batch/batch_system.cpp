@@ -99,7 +99,7 @@ void BatchSystem::pump_stream(const std::shared_ptr<StreamPump>& pump) {
   pump->last_at = s.at;
   sim_.schedule_submission(
       s.at + config_.latency.client_to_server,
-      [this, pump, spec = s.spec, behavior = s.behavior]() mutable {
+      [this, pump, spec = std::move(s.spec), behavior = s.behavior]() mutable {
         pump_stream(pump);  // refill the window before submitting
         server_.submit(std::move(spec),
                        apps::make_application(behavior, config_.speedup));

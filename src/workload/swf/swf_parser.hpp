@@ -34,6 +34,12 @@ struct SwfRecord {
   std::int64_t partition = -1;      ///< 16
   std::int64_t preceding_job = -1;  ///< 17
   std::int64_t think_time_s = -1;   ///< 18
+  /// A field held a number int64 cannot represent (infinite, NaN or
+  /// beyond +-2^63); that field's value is unspecified. The record still
+  /// parses, and SwfSource counts it unusable.
+  bool out_of_range = false;
+
+  [[nodiscard]] bool operator==(const SwfRecord&) const = default;
 };
 
 /// What to do with a line that is not a directive, not blank and not a
@@ -77,7 +83,8 @@ class SwfParser {
   /// Reads the next line (CRLF-tolerant); false at EOF.
   bool read_line();
   void parse_directive();
-  /// Parses line_ as an 18-field record; false if malformed.
+  /// Parses line_ in place as 18 blank- or tab-separated fields; false if
+  /// malformed.
   bool parse_record(SwfRecord& out);
 
   std::istream* in_;

@@ -1,6 +1,9 @@
 #include "workload/swf/swf_source.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include "common/assert.hpp"
@@ -10,13 +13,32 @@ namespace dbs::wl::swf {
 
 namespace {
 
-/// "u17"-style name from an SWF numeric id; empty for the -1 sentinel.
-std::string numbered(char prefix, std::int64_t id) {
-  if (id < 0) return {};
-  return std::string(1, prefix) + std::to_string(id);
+/// Largest time field, in seconds, whose Duration stays below
+/// Duration::infinite(), so a submit time plus a walltime stays below
+/// Time::far_future().
+constexpr std::int64_t kMaxSeconds =
+    Duration::infinite().as_micros() / 1'000'000 - 1;
+constexpr std::int64_t kMaxCores = std::numeric_limits<CoreCount>::max();
+
+/// Whether every field the replay converts fits the type it lands in.
+bool in_range(const SwfRecord& r) {
+  return !r.out_of_range && r.submit_s <= kMaxSeconds &&
+         r.run_s <= kMaxSeconds && r.req_time_s <= kMaxSeconds &&
+         r.used_procs <= kMaxCores && r.req_procs <= kMaxCores;
 }
 
 }  // namespace
+
+std::string_view SwfSource::IdNames::operator()(std::int64_t id) {
+  if (id < 0) id = -1;
+  const auto [it, inserted] = names_.try_emplace(id);
+  if (inserted) {
+    const std::string name =
+        id < 0 ? std::string(missing_) : prefix_ + std::to_string(id);
+    it->second = interner_.view(interner_.intern(name));
+  }
+  return it->second;
+}
 
 SwfSource::SwfSource(std::istream& in, SwfSourceConfig config)
     : parser_(in, config.policy), config_(config) {
@@ -50,7 +72,7 @@ bool SwfSource::next(SubmitSpec& out) {
     // what actually ran); zero-length jobs are floored to one second, the
     // simulator's resolution for a job that ran at all.
     const std::int64_t procs = r.used_procs > 0 ? r.used_procs : r.req_procs;
-    if (r.submit_s < 0 || procs <= 0 || r.run_s < 0) {
+    if (r.submit_s < 0 || procs <= 0 || r.run_s < 0 || !in_range(r)) {
       ++unusable_;
       continue;
     }
@@ -78,21 +100,25 @@ bool SwfSource::next(SubmitSpec& out) {
     const std::int64_t number =
         r.job_number >= 0 ? r.job_number
                           : -static_cast<std::int64_t>(++anonymous_);
-    // Jobs must carry a user (fair-share needs one); traces with an
-    // unknown user all share a synthetic one.
-    std::string user = numbered('u', r.user);
-    if (user.empty()) user = "u_unknown";
 
     out.at = Time::epoch() + Duration::seconds(submit_s);
-    out.spec = rms::JobSpec{};
-    out.spec.name = "j" + std::to_string(number);
-    out.spec.cred.user = std::string(users_.view(users_.intern(user)));
-    out.spec.cred.group =
-        std::string(groups_.view(groups_.intern(numbered('g', r.group))));
-    out.spec.cred.job_class =
-        std::string(queues_.view(queues_.intern(numbered('q', r.queue))));
-    out.spec.cores = cores;
-    out.spec.walltime = walltime;
+    // Every JobSpec field is assigned in place, so a reused SubmitSpec
+    // keeps its string buffers and costs no allocation.
+    rms::JobSpec& spec = out.spec;
+    char name[24] = {'j'};
+    spec.name.assign(name, std::to_chars(name + 1, std::end(name), number).ptr);
+    spec.cred.user = users_(r.user);
+    spec.cred.group = groups_(r.group);
+    spec.cred.account.clear();
+    spec.cred.job_class = queues_(r.queue);
+    spec.cred.qos.clear();
+    spec.cores = cores;
+    spec.ppn = 0;
+    spec.walltime = walltime;
+    spec.exclusive_priority = false;
+    spec.preemptible = false;
+    spec.malleable_min = 0;
+    spec.type_tag.clear();
 
     out.behavior = Behavior{};
     out.behavior.static_runtime = runtime;

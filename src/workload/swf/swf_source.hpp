@@ -1,13 +1,16 @@
 // Streams an SWF trace as a SubmissionSource: each record is mapped to a
 // SubmitSpec on the fly (O(1) memory per job), with interned credential
-// strings, monotonic submission-time clamping, optional core clamping to
-// the simulated cluster, and a seeded evolving overlay that marks a
-// deterministic fraction of jobs dynamic — the paper's ESP treatment
-// applied to real traces. See DESIGN.md §12.
+// strings (each numeric id formatted once), range checks, monotonic
+// submission-time clamping, optional core clamping to the simulated
+// cluster, and a seeded evolving overlay that marks a deterministic
+// fraction of jobs dynamic — the paper's ESP treatment applied to real
+// traces. See DESIGN.md §12.
 #pragma once
 
 #include <cstdint>
 #include <istream>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/interner.hpp"
 #include "workload/source.hpp"
@@ -57,8 +60,9 @@ class SwfSource final : public SubmissionSource {
   [[nodiscard]] const SwfParser& parser() const { return parser_; }
   /// Jobs yielded to the driver.
   [[nodiscard]] std::uint64_t yielded() const { return yielded_; }
-  /// Well-formed records dropped as unusable (no runtime / no size / no
-  /// submit time).
+  /// Well-formed records dropped as unusable: no runtime, size or submit
+  /// time; a submit, run or requested time a Duration cannot hold; a
+  /// processor count a CoreCount cannot hold; or a field beyond int64.
   [[nodiscard]] std::uint64_t unusable() const { return unusable_; }
   /// Jobs whose size was clamped to max_cores.
   [[nodiscard]] std::uint64_t clamped_cores() const { return clamped_cores_; }
@@ -69,16 +73,36 @@ class SwfSource final : public SubmissionSource {
   /// Distinct users/groups/queues seen (interner sizes, minus the shared
   /// empty string).
   [[nodiscard]] std::size_t distinct_users() const {
-    return users_.size() - 1;
+    return users_.distinct();
   }
   [[nodiscard]] std::size_t distinct_groups() const {
-    return groups_.size() - 1;
+    return groups_.distinct();
   }
   [[nodiscard]] std::size_t distinct_queues() const {
-    return queues_.size() - 1;
+    return queues_.distinct();
   }
 
  private:
+  /// SWF numeric id -> interned credential name ("u17"). Each id is
+  /// formatted and interned once, on first sight, so memory grows with
+  /// the number of distinct ids, not with the largest one.
+  class IdNames {
+   public:
+    /// Names are `prefix` + id; every negative id (-1 = not available)
+    /// maps to `missing`, which must outlive this object.
+    IdNames(char prefix, std::string_view missing)
+        : prefix_(prefix), missing_(missing) {}
+
+    std::string_view operator()(std::int64_t id);
+    [[nodiscard]] std::size_t distinct() const { return interner_.size() - 1; }
+
+   private:
+    char prefix_;
+    std::string_view missing_;
+    common::StringInterner interner_;
+    std::unordered_map<std::int64_t, std::string_view> names_;
+  };
+
   SwfParser parser_;
   SwfSourceConfig config_;
   std::int64_t last_submit_s_ = 0;
@@ -88,9 +112,11 @@ class SwfSource final : public SubmissionSource {
   std::uint64_t clamped_times_ = 0;
   std::uint64_t overlay_marked_ = 0;
   std::uint64_t anonymous_ = 0;  ///< records with no job number
-  common::StringInterner users_;
-  common::StringInterner groups_;
-  common::StringInterner queues_;
+  // Jobs must carry a user (fair-share needs one); traces with an unknown
+  // user all share a synthetic one.
+  IdNames users_{'u', "u_unknown"};
+  IdNames groups_{'g', ""};
+  IdNames queues_{'q', ""};
 };
 
 }  // namespace dbs::wl::swf

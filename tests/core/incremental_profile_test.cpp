@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -22,6 +24,7 @@
 #include "../property/reference_physical_profile.hpp"
 #include "../testutil.hpp"
 #include "apps/app_model.hpp"
+#include "common/rng.hpp"
 #include "batch/batch_system.hpp"
 #include "core/availability_profile.hpp"
 #include "core/backfill.hpp"
@@ -128,6 +131,58 @@ TEST(PlanCache, StaircaseAnswersMinFree) {
     EXPECT_EQ(cache.min_for(Duration::seconds(w)),
               p.min_free(at(0), at(0) + Duration::seconds(w)))
         << w;
+}
+
+/// The answer min_for must give, by brute force over the staircase: the
+/// minimum over every entry whose window range (the previous entry's
+/// window, its own] reaches into (0, window].
+CoreCount staircase_min(const std::vector<PlanCache::MinStep>& stairs,
+                        Duration window) {
+  CoreCount m = std::numeric_limits<CoreCount>::max();
+  Duration covered = Duration::zero();
+  for (const PlanCache::MinStep& s : stairs) {
+    if (covered >= window) break;
+    m = std::min(m, s.min_free);
+    covered = s.window;
+  }
+  return m;
+}
+
+TEST(PlanCache, MinForMatchesBruteForceOverStaircase) {
+  Rng rng(20140916);
+  std::uint64_t inner_steps = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    AvailabilityProfile p(at(0), 64);
+    const auto cuts = rng.next_int(1, 8);
+    for (std::int64_t c = 0; c < cuts; ++c) {
+      const std::int64_t start = rng.next_int(0, 500);
+      p.subtract(at(start), at(start + rng.next_int(1, 300)),
+                 static_cast<CoreCount>(rng.next_int(1, 8)));
+    }
+    const Time now = at(rng.next_int(0, 100));
+    PlanCache cache;
+    cache.refresh(p, now);
+    const Duration forever = cache.staircase.back().window;
+    // Every entry's own window (where `<` and `<=` in the lower-bound
+    // comparator part ways), a microsecond either side, and random ones.
+    std::vector<Duration> windows;
+    for (const PlanCache::MinStep& s : cache.staircase) {
+      windows.push_back(s.window);
+      windows.push_back(s.window - Duration::micros(1));
+      windows.push_back(s.window + Duration::micros(1));
+    }
+    for (int i = 0; i < 8; ++i)
+      windows.push_back(Duration::micros(rng.next_int(1, 700'000'000)));
+    for (const Duration w : windows) {
+      if (w <= Duration::zero() || w > forever) continue;
+      ASSERT_EQ(cache.min_for(w), staircase_min(cache.staircase, w))
+          << "trial " << trial << " window " << w.as_micros();
+      ASSERT_EQ(cache.min_for(w), p.min_free(now, now + w))
+          << "trial " << trial << " window " << w.as_micros();
+    }
+    inner_steps += cache.staircase.size() - 1;
+  }
+  EXPECT_GT(inner_steps, 300u);  // most staircases step down before forever
 }
 
 TEST(PlanCache, InternedVersionsAreStableAcrossCycles) {

@@ -3,6 +3,8 @@
 // evolving bookkeeping is consistent.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "batch/experiment.hpp"
 #include "cluster/cluster.hpp"
 #include "workload/synthetic.hpp"
@@ -17,6 +19,22 @@ struct Params {
   bool backfill;
   core::DfsPolicy policy;
 };
+
+// Name each case by its fields. gtest's default dump of the raw bytes
+// includes the struct's padding, so the discovered ctest names would
+// depend on whatever those bytes held.
+void PrintTo(const Params& p, std::ostream* os) {
+  const char* dfs = "none";
+  switch (p.policy) {
+    case core::DfsPolicy::None: break;
+    case core::DfsPolicy::SingleJobDelay: dfs = "single"; break;
+    case core::DfsPolicy::TargetDelay: dfs = "target"; break;
+    case core::DfsPolicy::SingleAndTargetDelay: dfs = "single+target"; break;
+  }
+  *os << "seed=" << p.seed << " evo=" << p.evolving_fraction
+      << " depth=" << p.reservation_depth
+      << (p.backfill ? " backfill " : " no-backfill ") << dfs;
+}
 
 class SchedulerInvariants : public testing::TestWithParam<Params> {};
 

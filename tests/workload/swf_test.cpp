@@ -169,6 +169,120 @@ TEST(SwfSource, ClampsWidthToMaxCores) {
   EXPECT_EQ(src.clamped_cores(), 1u);
 }
 
+/// An 18-field record with the given submit, run, used-procs, requested
+/// procs and requested-time tokens; the other fields are plain.
+std::string record(const std::string& submit, const std::string& run,
+                   const std::string& used_procs, const std::string& req_procs,
+                   const std::string& req_time) {
+  return "1 " + submit + " -1 " + run + " " + used_procs + " -1 -1 " +
+         req_procs + " " + req_time + " -1 1 3 2 -1 5 -1 -1 -1\n";
+}
+
+/// Replays `trace` and returns the number of jobs yielded; counts the
+/// unusable records into `unusable`.
+std::uint64_t replay(const std::string& trace, std::uint64_t& unusable) {
+  std::istringstream in(trace);
+  SwfSource src(in, {});
+  SubmitSpec s;
+  while (src.next(s)) {
+  }
+  unusable = src.unusable();
+  return src.yielded();
+}
+
+/// Largest submit/run/requested time, in seconds, a record may carry.
+const std::int64_t kMaxSeconds =
+    Duration::infinite().as_micros() / 1'000'000 - 1;
+
+TEST(SwfSource, SubmitTimeBeyondDurationIsUnusable) {
+  std::uint64_t unusable = 0;
+  EXPECT_EQ(replay(record("10000000000000", "100", "4", "4", "200") +
+                       record(std::to_string(kMaxSeconds + 1), "100", "4",
+                              "4", "200"),
+                   unusable),
+            0u);
+  EXPECT_EQ(unusable, 2u);
+}
+
+TEST(SwfSource, RunAndRequestedTimesBeyondDurationAreUnusable) {
+  std::uint64_t unusable = 0;
+  EXPECT_EQ(replay(record("10", "10000000000000", "4", "4", "200") +
+                       record("10", "100", "4", "4", "10000000000000") +
+                       record("10", "100", "4", "4", "1e300"),
+                   unusable),
+            0u);
+  EXPECT_EQ(unusable, 3u);
+}
+
+TEST(SwfSource, LargestTimesStillReplay) {
+  const std::string max = std::to_string(kMaxSeconds);
+  std::istringstream in(record(max, max, "4", "4", max));
+  SwfSource src(in, {});
+  SubmitSpec s;
+  ASSERT_TRUE(src.next(s));
+  EXPECT_EQ(s.at, Time::epoch() + Duration::seconds(kMaxSeconds));
+  EXPECT_EQ(s.spec.walltime, Duration::seconds(kMaxSeconds));
+  EXPECT_LT(s.at + s.spec.walltime, Time::far_future());
+}
+
+TEST(SwfSource, ProcsBeyondCoreCountAreUnusable) {
+  std::uint64_t unusable = 0;
+  // 2^31 would wrap to a negative core count, 2^32 + 1 to one core.
+  EXPECT_EQ(replay(record("10", "100", "2147483648", "4", "200") +
+                       record("10", "100", "4294967297", "4", "200") +
+                       record("10", "100", "-1", "2147483648", "200") +
+                       record("10", "100", "2147483647", "4", "200"),
+                   unusable),
+            1u);
+  EXPECT_EQ(unusable, 3u);
+}
+
+TEST(SwfSource, NonFiniteFieldIsUnusable) {
+  std::uint64_t unusable = 0;
+  // The wait time (field 3) is unused by the replay, but a record with a
+  // non-finite or int64-overflowing field is not trusted.
+  const auto with_wait = [](const std::string& wait) {
+    return "1 10 " + wait + " 100 4 -1 -1 4 200 -1 1 3 2 -1 5 -1 -1 -1\n";
+  };
+  EXPECT_EQ(replay(with_wait("nan") + with_wait("inf") + with_wait("-inf") +
+                       with_wait("99999999999999999999") + with_wait("1e300") +
+                       with_wait("5.5"),
+                   unusable),
+            1u);
+  EXPECT_EQ(unusable, 5u);
+}
+
+TEST(SwfSource, ReusedSpecMatchesFreshOne) {
+  const std::string trace = std::string(kRecord) +
+                            "2 20 -1 50 4 -1 -1 -1 -1 -1 1 -1 -1 -1 -1 -1 -1 -1\n";
+  std::istringstream fresh_in(trace);
+  std::istringstream reused_in(trace);
+  SwfSource fresh_src(fresh_in, {});
+  SwfSource reused_src(reused_in, {});
+  SubmitSpec reused;
+  // Every field a stale spec could leak into the next record.
+  reused.spec.name = std::string(40, 'n');
+  reused.spec.cred = {"user-with-a-long-name", "group", "account",
+                      "class", "qos"};
+  reused.spec.cores = 99;
+  reused.spec.ppn = 3;
+  reused.spec.walltime = Duration::seconds(9);
+  reused.spec.exclusive_priority = true;
+  reused.spec.preemptible = true;
+  reused.spec.malleable_min = 2;
+  reused.spec.type_tag = "Z";
+  reused.behavior.evolving = true;
+  reused.behavior.malleable = true;
+  for (int i = 0; i < 2; ++i) {
+    SubmitSpec fresh;
+    ASSERT_TRUE(fresh_src.next(fresh));
+    ASSERT_TRUE(reused_src.next(reused));
+    EXPECT_EQ(reused.at, fresh.at);
+    EXPECT_EQ(reused.spec, fresh.spec);
+    EXPECT_EQ(reused.behavior, fresh.behavior);
+  }
+}
+
 TEST(SwfSource, OverlayIsPureAndFractionBounded) {
   // The mark is a pure function of (seed, job number): no dependence on
   // parse order, window size or trace position.
