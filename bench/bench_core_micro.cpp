@@ -129,8 +129,9 @@ BENCHMARK(bm_dfs_admit)->Arg(5)->Arg(20)->Arg(100);
 
 /// ThreadPool dynamic-claim grain: n tiny tasks on 4 workers, grain as the
 /// sweep axis. Grain 1 pays one fetch_add + completion RMW per task; larger
-/// grains amortize it over the chunk — the shard fan-out runs K small
-/// per-shard iterations with grain ceil(K/threads) for exactly this reason.
+/// grains amortize it over the chunk. The shard fan-out claims one shard
+/// at a time (grain 1): its K tasks are whole scheduler iterations, far
+/// heavier than the claim.
 void bm_pool_grain(benchmark::State& state) {
   exec::ThreadPool pool(4);
   constexpr std::size_t kTasks = 4096;

@@ -22,7 +22,6 @@ ShardedSystem::ShardedSystem(const SystemConfig& base,
       map_(make_shard_map(base.cluster, config)),
       router_(map_, config.policy),
       pool_(config.threads >= 1 ? config.threads : 1) {
-  DBS_REQUIRE(config.grain >= 1, "shard fan-out grain must be >= 1");
   const std::size_t count = map_.shard_count();
   registries_.reserve(count);
   systems_.reserve(count);
@@ -65,16 +64,14 @@ void ShardedSystem::submit_stream(wl::SubmissionSource& source,
 }
 
 void ShardedSystem::run() {
-  pool_.parallel_for(
-      systems_.size(), [&](std::size_t k) { systems_[k]->run(); },
-      config_.grain);
+  pool_.parallel_for(systems_.size(),
+                     [&](std::size_t k) { systems_[k]->run(); });
 }
 
 void ShardedSystem::run_until(Time until) {
-  pool_.parallel_for(
-      systems_.size(),
-      [&](std::size_t k) { systems_[k]->run_until(until); },
-      config_.grain);
+  pool_.parallel_for(systems_.size(), [&](std::size_t k) {
+    systems_[k]->run_until(until);
+  });
 }
 
 void ShardedSystem::merge_registries(obs::Registry& into) const {

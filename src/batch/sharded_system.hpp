@@ -37,9 +37,6 @@ struct ShardConfig {
   /// Worker threads driving the per-shard runs (1 = serial; byte-identical
   /// output either way).
   std::size_t threads = 1;
-  /// ThreadPool chunk-claim grain for the shard fan-out (see
-  /// exec::ThreadPool::parallel_for).
-  std::size_t grain = 1;
 };
 
 /// Builds the node partition `config` asks for from the whole-machine spec.

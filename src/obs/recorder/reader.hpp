@@ -2,8 +2,12 @@
 //
 // open() validates magic/version at both ends of the file, then loads the
 // string table, the job-index entry table and the time index into memory —
-// O(jobs + strings + buckets), independent of record count. Records and
-// posting lists stay on disk and are read on demand:
+// O(jobs + strings + buckets), independent of record count. Every section
+// is decoded by the bounded common::Reader, and every job's posting list
+// is checked to lie inside the postings section, so a corrupt count fails
+// open() with an error naming the section instead of driving an
+// allocation. Records and posting lists stay on disk and are read on
+// demand:
 //
 //   for_job(j)        — one hash lookup, one postings seek, k record seeks
 //   scan_range(a, b)  — time index gives the start ordinal; reads forward
@@ -75,14 +79,7 @@ class RecordReader {
   }
 
  private:
-  struct JobEntry {
-    std::uint64_t postings_start = 0;  ///< offset into the postings array
-    std::uint32_t count = 0;
-  };
-
   bool fail(std::string message);
-  template <class T>
-  [[nodiscard]] T get();
 
   std::ifstream in_;
   std::string error_;
@@ -90,10 +87,9 @@ class RecordReader {
   std::int64_t capacity_ = 0;
   std::int64_t bucket_us_ = 1;
   std::uint64_t postings_off_ = 0;
-  std::int64_t first_bucket_ = 0;
   std::vector<std::string> strings_{""};
-  std::unordered_map<std::uint64_t, JobEntry> job_index_;
-  std::vector<std::uint64_t> bucket_first_;
+  std::unordered_map<std::uint64_t, JobIndexEntry> job_index_;
+  TimeIndex time_index_;
 };
 
 }  // namespace dbs::obs::rec

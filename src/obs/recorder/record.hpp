@@ -9,15 +9,18 @@
 // stores bare ordinals and a per-job lookup is "hash the job id, seek the
 // postings, seek each record" — never a full-file scan.
 //
-// All integers are stored little-endian via the explicit store/load
-// helpers below, so files are portable across hosts. Strings (user names,
-// reject reasons) are interned into the string table and referenced by
-// 16-bit id; id 0 is always the empty string.
+// All integers are stored little-endian through the shared byte codec
+// (common/byte_codec.hpp), so files are portable across hosts. Strings
+// (user names, reject reasons) are interned into the string table and
+// referenced by 16-bit id; id 0 is always the empty string.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
+#include <string>
 #include <string_view>
+#include <vector>
+
+#include "common/byte_codec.hpp"
 
 namespace dbs::obs::rec {
 
@@ -93,54 +96,128 @@ struct PackedRecord {
   }
 };
 
-// --- little-endian scalar helpers -----------------------------------------
+// --- field lists ------------------------------------------------------------
+// One template per on-disk structure, run by RecordWriter (common::Writer)
+// and RecordReader (common::Reader, which bounds every read and count; see
+// common/byte_codec.hpp). The call order is the file layout of DESIGN.md
+// §10; changing it needs a kFormatVersion bump.
 
-template <class T>
-inline void store_le(unsigned char* p, T v) {
-  static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
-  auto u = static_cast<std::uint64_t>(v);
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    p[i] = static_cast<unsigned char>((u >> (8 * i)) & 0xff);
+template <class Io, common::Is<PackedRecord> R>
+void fields(Io& io, R& r) {
+  io.i64(r.t_us);
+  io.i64(r.aux_us);
+  io.u32(r.job);
+  io.u32(r.other);
+  io.u32(r.request);
+  io.i32(r.cores);
+  io.u32(r.iteration);
+  io.u16(r.user);
+  io.u16(r.reason);
+  io.enum8(r.type);
+  io.u8(r.flags);
+  io.pad(6);  // to kRecordSize
 }
 
-template <class T>
-inline T load_le(const unsigned char* p) {
-  std::uint64_t u = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    u |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return static_cast<T>(u);
+/// The fixed kHeaderSize-byte header at offset 0.
+struct FileHeader {
+  std::uint32_t magic = kMagic;
+  std::uint32_t version = kFormatVersion;
+  std::uint32_t record_size = static_cast<std::uint32_t>(kRecordSize);
+  std::int64_t capacity = 0;  ///< cluster cores
+  std::int64_t time_bucket_us = 0;
+};
+
+template <class Io, common::Is<FileHeader> H>
+void fields(Io& io, H& h) {
+  io.u32(h.magic);
+  io.u32(h.version);
+  io.u32(h.record_size);
+  io.pad(4);  // reserved
+  io.i64(h.capacity);
+  io.i64(h.time_bucket_us);
 }
 
-/// Serializes a record into exactly kRecordSize bytes.
-inline void encode_record(const PackedRecord& r, unsigned char out[kRecordSize]) {
-  store_le<std::int64_t>(out + 0, r.t_us);
-  store_le<std::int64_t>(out + 8, r.aux_us);
-  store_le<std::uint32_t>(out + 16, r.job);
-  store_le<std::uint32_t>(out + 20, r.other);
-  store_le<std::uint32_t>(out + 24, r.request);
-  store_le<std::int32_t>(out + 28, r.cores);
-  store_le<std::uint32_t>(out + 32, r.iteration);
-  store_le<std::uint16_t>(out + 36, r.user);
-  store_le<std::uint16_t>(out + 38, r.reason);
-  out[40] = static_cast<unsigned char>(r.type);
-  out[41] = r.flags;
-  std::memset(out + 42, 0, kRecordSize - 42);
+/// The fixed kFooterSize-byte footer at end-of-file, locating the index
+/// sections.
+struct Footer {
+  std::uint64_t record_count = 0;
+  std::uint64_t strings_off = 0;
+  std::uint64_t job_index_off = 0;
+  std::uint64_t postings_off = 0;
+  std::uint64_t time_index_off = 0;
+  std::uint64_t job_count = 0;
+  std::uint64_t total_postings = 0;
+  std::uint32_t version = kFormatVersion;
+  std::uint32_t magic = kMagic;
+};
+
+template <class Io, common::Is<Footer> F>
+void fields(Io& io, F& f) {
+  io.u64(f.record_count);
+  io.u64(f.strings_off);
+  io.u64(f.job_index_off);
+  io.u64(f.postings_off);
+  io.u64(f.time_index_off);
+  io.u64(f.job_count);
+  io.u64(f.total_postings);
+  io.u32(f.version);
+  io.u32(f.magic);
 }
 
-inline PackedRecord decode_record(const unsigned char in[kRecordSize]) {
-  PackedRecord r;
-  r.t_us = load_le<std::int64_t>(in + 0);
-  r.aux_us = load_le<std::int64_t>(in + 8);
-  r.job = load_le<std::uint32_t>(in + 16);
-  r.other = load_le<std::uint32_t>(in + 20);
-  r.request = load_le<std::uint32_t>(in + 24);
-  r.cores = load_le<std::int32_t>(in + 28);
-  r.iteration = load_le<std::uint32_t>(in + 32);
-  r.user = load_le<std::uint16_t>(in + 36);
-  r.reason = load_le<std::uint16_t>(in + 38);
-  r.type = static_cast<RecordType>(in[40]);
-  r.flags = in[41];
-  return r;
+/// One job's entry in the job index: where its posting list (u64 record
+/// ordinals) starts in the postings section, and its length.
+struct JobIndexEntry {
+  std::uint64_t job = 0;
+  std::uint64_t postings_start = 0;  ///< in postings, not bytes
+  std::uint32_t count = 0;
+};
+
+template <class Io, common::Is<JobIndexEntry> E>
+void fields(Io& io, E& e) {
+  io.u64(e.job);
+  io.u64(e.postings_start);
+  io.u32(e.count);
+  io.pad(4);
+}
+
+/// The job index section's entry table, sorted by job.
+template <class Io, common::Is<std::vector<JobIndexEntry>> V>
+void job_index(Io& io, V& entries) {
+  io.seq(entries, 24, [&](auto& e) { fields(io, e); });
+}
+
+/// The string table section; id = position, id 0 = "".
+template <class Io, common::Is<std::vector<std::string>> V>
+void string_table(Io& io, V& strings) {
+  io.seq(strings, 2, [&](auto& s) { io.str16(s); });
+}
+
+/// The time index section: the first ordinal of every time bucket from
+/// `first_bucket` on.
+struct TimeIndex {
+  std::int64_t first_bucket = 0;
+  std::vector<std::uint64_t> bucket_first;
+};
+
+template <class Io, common::Is<TimeIndex> T>
+void fields(Io& io, T& t) {
+  io.i64(t.first_bucket);
+  io.seq(t.bucket_first, 8, [&](auto& ordinal) { io.u64(ordinal); });
+}
+
+/// Appends exactly kRecordSize bytes encoding `r` to `out`.
+inline void encode_record(const PackedRecord& r,
+                          std::vector<unsigned char>& out) {
+  common::Writer w(out);
+  fields(w, r);
+}
+
+/// Decodes the kRecordSize bytes at `in`.
+inline PackedRecord decode_record(const unsigned char* in) {
+  common::Reader r(in, kRecordSize, "record");
+  PackedRecord out;
+  fields(r, out);
+  return out;
 }
 
 }  // namespace dbs::obs::rec

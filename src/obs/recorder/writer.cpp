@@ -35,13 +35,6 @@ std::string_view to_string(RecordType t) {
 
 RecordWriter::~RecordWriter() { finalize(); }
 
-template <class T>
-void RecordWriter::put(T v) {
-  unsigned char tmp[sizeof(T)];
-  store_le<T>(tmp, v);
-  buffer_.insert(buffer_.end(), tmp, tmp + sizeof(T));
-}
-
 bool RecordWriter::open(const std::string& path, std::int64_t capacity,
                         std::int64_t time_bucket_us) {
   assert(!out_.is_open());
@@ -54,12 +47,11 @@ bool RecordWriter::open(const std::string& path, std::int64_t capacity,
   strings_ = {""};
   string_ids_ = {{"", 0}};
 
-  put<std::uint32_t>(kMagic);
-  put<std::uint32_t>(kFormatVersion);
-  put<std::uint32_t>(static_cast<std::uint32_t>(kRecordSize));
-  put<std::uint32_t>(0);  // reserved
-  put<std::int64_t>(capacity);
-  put<std::int64_t>(bucket_us_);
+  FileHeader header;
+  header.capacity = capacity;
+  header.time_bucket_us = bucket_us_;
+  common::Writer w(buffer_);
+  fields(w, header);
   assert(buffer_.size() == kHeaderSize);
   return true;
 }
@@ -85,24 +77,24 @@ void RecordWriter::append(const PackedRecord& r) {
   if (!any_record_) {
     any_record_ = true;
     first_t_us_ = rec.t_us;
-    first_bucket_ = rec.t_us / bucket_us_;
-    bucket_first_.push_back(count_);
+    time_index_.first_bucket = rec.t_us / bucket_us_;
+    time_index_.bucket_first.push_back(count_);
   }
   max_t_us_ = rec.t_us;
-  const std::int64_t bucket = rec.t_us / bucket_us_ - first_bucket_;
+  const std::int64_t bucket =
+      rec.t_us / bucket_us_ - time_index_.first_bucket;
   // Every bucket up to the record's maps to this ordinal as its first: an
   // empty bucket's scan starts at the next record past it.
-  while (static_cast<std::int64_t>(bucket_first_.size()) <= bucket)
-    bucket_first_.push_back(count_);
+  std::vector<std::uint64_t>& firsts = time_index_.bucket_first;
+  while (static_cast<std::int64_t>(firsts.size()) <= bucket)
+    firsts.push_back(count_);
 
   if (rec.job != kNoId) postings_[rec.job].push_back(count_);
   // A decision also belongs to the job it frees cores for.
   if (rec.other != kNoId && rec.other != rec.job)
     postings_[rec.other].push_back(count_);
 
-  unsigned char encoded[kRecordSize];
-  encode_record(rec, encoded);
-  buffer_.insert(buffer_.end(), encoded, encoded + kRecordSize);
+  encode_record(rec, buffer_);
   ++count_;
   if (buffer_.size() >= kBufferLimit) flush_buffer();
 }
@@ -119,54 +111,39 @@ bool RecordWriter::finalize() {
   if (!out_.is_open()) return false;
   flush_buffer();
 
-  // String table: count, then (len, bytes) per string.
-  const auto strings_off =
+  common::Writer w(buffer_);
+  Footer footer;
+  footer.record_count = count_;
+  footer.strings_off =
       kHeaderSize + static_cast<std::uint64_t>(count_) * kRecordSize;
-  put<std::uint32_t>(static_cast<std::uint32_t>(strings_.size()));
-  for (const std::string& s : strings_) {
-    put<std::uint16_t>(static_cast<std::uint16_t>(s.size()));
-    buffer_.insert(buffer_.end(), s.begin(), s.end());
-  }
+  string_table(w, strings_);
   flush_buffer();
 
   // Job index: entry table (sorted by job — std::map iterates in order)
   // followed by the concatenated posting lists it points into.
-  const auto job_index_off = static_cast<std::uint64_t>(out_.tellp());
-  put<std::uint32_t>(static_cast<std::uint32_t>(postings_.size()));
-  std::uint64_t postings_cursor = 0;
-  std::uint64_t total_postings = 0;
+  footer.job_index_off = static_cast<std::uint64_t>(out_.tellp());
+  std::vector<JobIndexEntry> entries;
+  entries.reserve(postings_.size());
   for (const auto& [job, ordinals] : postings_) {
-    put<std::uint64_t>(job);
-    put<std::uint64_t>(postings_cursor);
-    put<std::uint32_t>(static_cast<std::uint32_t>(ordinals.size()));
-    put<std::uint32_t>(0);  // pad to 24 bytes/entry
-    postings_cursor += ordinals.size();
-    total_postings += ordinals.size();
+    entries.push_back({job, footer.total_postings,
+                       static_cast<std::uint32_t>(ordinals.size())});
+    footer.total_postings += ordinals.size();
   }
+  job_index(w, entries);
   flush_buffer();
-  const auto postings_off = static_cast<std::uint64_t>(out_.tellp());
+  footer.postings_off = static_cast<std::uint64_t>(out_.tellp());
   for (const auto& [job, ordinals] : postings_) {
-    for (const std::uint64_t ordinal : ordinals) put<std::uint64_t>(ordinal);
+    for (const std::uint64_t ordinal : ordinals) w.u64(ordinal);
     if (buffer_.size() >= kBufferLimit) flush_buffer();
   }
   flush_buffer();
 
-  // Time index: first bucket number, then first-ordinal per bucket.
-  const auto time_index_off = static_cast<std::uint64_t>(out_.tellp());
-  put<std::int64_t>(first_bucket_);
-  put<std::uint32_t>(static_cast<std::uint32_t>(bucket_first_.size()));
-  for (const std::uint64_t first : bucket_first_) put<std::uint64_t>(first);
+  footer.time_index_off = static_cast<std::uint64_t>(out_.tellp());
+  fields(w, time_index_);
   flush_buffer();
 
-  put<std::uint64_t>(count_);
-  put<std::uint64_t>(strings_off);
-  put<std::uint64_t>(job_index_off);
-  put<std::uint64_t>(postings_off);
-  put<std::uint64_t>(time_index_off);
-  put<std::uint64_t>(postings_.size());
-  put<std::uint64_t>(total_postings);
-  put<std::uint32_t>(kFormatVersion);
-  put<std::uint32_t>(kMagic);
+  footer.job_count = postings_.size();
+  fields(w, footer);
   assert(buffer_.size() == kFooterSize);
   flush_buffer();
 
@@ -175,7 +152,7 @@ bool RecordWriter::finalize() {
   postings_.clear();
   string_ids_.clear();
   strings_.clear();
-  bucket_first_.clear();
+  time_index_ = TimeIndex{};
   return ok;
 }
 

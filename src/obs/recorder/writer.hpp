@@ -59,8 +59,6 @@ class RecordWriter {
 
  private:
   void flush_buffer();
-  template <class T>
-  void put(T v);
 
   std::ofstream out_;
   std::string path_;
@@ -76,8 +74,7 @@ class RecordWriter {
   /// job id -> ordinals of records touching it (ordered map so the index
   /// section is written sorted by job without a separate sort pass).
   std::map<std::uint64_t, std::vector<std::uint64_t>> postings_;
-  std::int64_t first_bucket_ = 0;
-  std::vector<std::uint64_t> bucket_first_;  ///< first ordinal per bucket
+  TimeIndex time_index_;
 };
 
 }  // namespace dbs::obs::rec

@@ -40,10 +40,10 @@ bool ShardedService::open() {
               "open() is only meaningful with a state_dir");
   // Per-shard parallel recovery: every shard restores its own snapshot and
   // replays its own WAL tail; the shards touch disjoint state.
-  const std::vector<char> had = pool_.parallel_map<char>(
-      loops_.size(),
-      [&](std::size_t k) { return static_cast<char>(loops_[k]->open()); },
-      system_.shard_config().grain);
+  const std::vector<char> had =
+      pool_.parallel_map<char>(loops_.size(), [&](std::size_t k) {
+        return static_cast<char>(loops_[k]->open());
+      });
   std::vector<std::uint64_t> cores(loops_.size(), 0);
   std::vector<std::uint64_t> jobs(loops_.size(), 0);
   for (std::size_t k = 0; k < loops_.size(); ++k) {
@@ -73,9 +73,8 @@ void ShardedService::route_pending() {
 
 void ShardedService::tick() {
   route_pending();
-  pool_.parallel_for(
-      loops_.size(), [&](std::size_t k) { loops_[k]->tick(); },
-      system_.shard_config().grain);
+  pool_.parallel_for(loops_.size(),
+                     [&](std::size_t k) { loops_[k]->tick(); });
   ++ticks_;
 }
 

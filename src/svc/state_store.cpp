@@ -5,454 +5,269 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 
 #include "apps/app_model.hpp"
 #include "batch/batch_system.hpp"
 #include "common/assert.hpp"
-#include "obs/recorder/record.hpp"
+#include "common/byte_codec.hpp"
 
 namespace dbs::svc {
 namespace {
 
-using obs::rec::load_le;
-using obs::rec::store_le;
+using common::Is;
+using common::Reader;
+using common::store_le;
+using common::Writer;
 
-// --- byte-buffer writer/reader --------------------------------------------
-// Same conventions as the flight recorder (DESIGN.md §10): all integers
-// little-endian, strings length-prefixed, doubles as their IEEE-754 bit
-// pattern. The reader bounds-checks every access and throws, so a
-// truncated or corrupt snapshot fails loud instead of restoring garbage.
+// --- field lists -----------------------------------------------------------
+// One template per on-disk type, run by the encoder (a Writer over a const
+// object) and by the decoder (a Reader filling the object in). The call
+// order below IS the snapshot and WAL layout (DESIGN.md §13): reordering a
+// line changes the format and needs a kSnapshotVersion/kWalVersion bump.
+// The counts passed to seq() are each element's minimum encoded size, the
+// decoder's bound on a count read from the file.
 
-class Writer {
- public:
-  explicit Writer(std::vector<unsigned char>& out) : out_(out) {}
-
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v) { scalar(v); }
-  void u64(std::uint64_t v) { scalar(v); }
-  void i32(std::int32_t v) { scalar(v); }
-  void i64(std::int64_t v) { scalar(v); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void time(Time t) { i64(t.as_micros()); }
-  void duration(Duration d) { i64(d.as_micros()); }
-  void opt_time(const std::optional<Time>& t) {
-    boolean(t.has_value());
-    i64(t ? t->as_micros() : 0);
-  }
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-
- private:
-  template <class T>
-  void scalar(T v) {
-    unsigned char tmp[sizeof(T)];
-    store_le<T>(tmp, v);
-    out_.insert(out_.end(), tmp, tmp + sizeof(T));
-  }
-
-  std::vector<unsigned char>& out_;
+/// The 8-byte head of a snapshot or WAL file.
+struct FileHead {
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
 };
 
-class Reader {
- public:
-  Reader(const unsigned char* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] std::uint8_t u8() { return *take(1); }
-  [[nodiscard]] std::uint32_t u32() { return load_le<std::uint32_t>(take(4)); }
-  [[nodiscard]] std::uint64_t u64() { return load_le<std::uint64_t>(take(8)); }
-  [[nodiscard]] std::int32_t i32() { return load_le<std::int32_t>(take(4)); }
-  [[nodiscard]] std::int64_t i64() { return load_le<std::int64_t>(take(8)); }
-  [[nodiscard]] double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  [[nodiscard]] bool boolean() { return u8() != 0; }
-  [[nodiscard]] Time time() { return Time::from_micros(i64()); }
-  [[nodiscard]] Duration duration() { return Duration::micros(i64()); }
-  [[nodiscard]] std::optional<Time> opt_time() {
-    const bool has = boolean();
-    const std::int64_t us = i64();
-    if (!has) return std::nullopt;
-    return Time::from_micros(us);
-  }
-  [[nodiscard]] std::string str() {
-    const std::uint32_t n = u32();
-    const unsigned char* p = take(n);
-    return std::string(reinterpret_cast<const char*>(p), n);
-  }
-  /// Element count for a following array; bounded by the bytes left so a
-  /// corrupt length cannot drive a multi-gigabyte reserve.
-  [[nodiscard]] std::size_t count(std::size_t min_elem_bytes) {
-    const std::uint32_t n = u32();
-    DBS_REQUIRE(static_cast<std::size_t>(n) * min_elem_bytes <= remaining(),
-                "snapshot array length exceeds the remaining bytes");
-    return n;
-  }
-  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-  [[nodiscard]] bool done() const { return pos_ == size_; }
-
- private:
-  const unsigned char* take(std::size_t n) {
-    DBS_REQUIRE(n <= remaining(), "snapshot truncated");
-    const unsigned char* p = data_ + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  const unsigned char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-// --- per-type codecs -------------------------------------------------------
-
-void put_credentials(Writer& w, const Credentials& c) {
-  w.str(c.user);
-  w.str(c.group);
-  w.str(c.account);
-  w.str(c.job_class);
-  w.str(c.qos);
+template <class Io, Is<FileHead> H>
+void fields(Io& io, H& h) {
+  io.u32(h.magic);
+  io.u32(h.version);
 }
 
-Credentials get_credentials(Reader& r) {
-  Credentials c;
-  c.user = r.str();
-  c.group = r.str();
-  c.account = r.str();
-  c.job_class = r.str();
-  c.qos = r.str();
-  return c;
+template <class Io, Is<Credentials> C>
+void fields(Io& io, C& c) {
+  io.str(c.user);
+  io.str(c.group);
+  io.str(c.account);
+  io.str(c.job_class);
+  io.str(c.qos);
 }
 
-void put_spec(Writer& w, const rms::JobSpec& s) {
-  w.str(s.name);
-  put_credentials(w, s.cred);
-  w.i32(s.cores);
-  w.i32(s.ppn);
-  w.duration(s.walltime);
-  w.boolean(s.exclusive_priority);
-  w.boolean(s.preemptible);
-  w.i32(s.malleable_min);
-  w.str(s.type_tag);
+template <class Io, Is<rms::JobSpec> S>
+void fields(Io& io, S& s) {
+  io.str(s.name);
+  fields(io, s.cred);
+  io.i32(s.cores);
+  io.i32(s.ppn);
+  io.duration(s.walltime);
+  io.boolean(s.exclusive_priority);
+  io.boolean(s.preemptible);
+  io.i32(s.malleable_min);
+  io.str(s.type_tag);
 }
 
-rms::JobSpec get_spec(Reader& r) {
-  rms::JobSpec s;
-  s.name = r.str();
-  s.cred = get_credentials(r);
-  s.cores = r.i32();
-  s.ppn = r.i32();
-  s.walltime = r.duration();
-  s.exclusive_priority = r.boolean();
-  s.preemptible = r.boolean();
-  s.malleable_min = r.i32();
-  s.type_tag = r.str();
-  return s;
+template <class Io, Is<wl::Behavior> B>
+void fields(Io& io, B& b) {
+  io.duration(b.static_runtime);
+  io.boolean(b.evolving);
+  io.f64(b.first_ask_frac);
+  io.f64(b.retry_frac);
+  io.i32(b.ask_cores);
+  io.duration(b.negotiation_timeout);
+  io.boolean(b.malleable);
 }
 
-void put_behavior(Writer& w, const wl::Behavior& b) {
-  w.duration(b.static_runtime);
-  w.boolean(b.evolving);
-  w.f64(b.first_ask_frac);
-  w.f64(b.retry_frac);
-  w.i32(b.ask_cores);
-  w.duration(b.negotiation_timeout);
-  w.boolean(b.malleable);
+template <class Io, Is<cluster::Placement> P>
+void fields(Io& io, P& p) {
+  io.seq(p.shares, 12, [&](auto& share) {
+    io.id(share.node);
+    io.i32(share.cores);
+  });
 }
 
-wl::Behavior get_behavior(Reader& r) {
-  wl::Behavior b;
-  b.static_runtime = r.duration();
-  b.evolving = r.boolean();
-  b.first_ask_frac = r.f64();
-  b.retry_frac = r.f64();
-  b.ask_cores = r.i32();
-  b.negotiation_timeout = r.duration();
-  b.malleable = r.boolean();
-  return b;
+template <class Io, Is<rms::AppState> A>
+void fields(Io& io, A& a) {
+  io.u32(a.kind);
+  io.seq(a.ints, 8, [&](auto& v) { io.i64(v); });
+  io.seq(a.doubles, 8, [&](auto& v) { io.f64(v); });
 }
 
-void put_placement(Writer& w, const cluster::Placement& p) {
-  w.u32(static_cast<std::uint32_t>(p.shares.size()));
-  for (const auto& share : p.shares) {
-    w.u64(share.node.value());
-    w.i32(share.cores);
-  }
+template <class Io, Is<SystemState::JobEntry> E>
+void fields(Io& io, E& e) {
+  io.id(e.id);
+  fields(io, e.spec);
+  io.time(e.submit);
+  io.enum8(e.restore.state, rms::JobState::Queued, rms::JobState::Cancelled,
+           "job state");
+  io.opt_time(e.restore.start);
+  io.opt_time(e.restore.end);
+  fields(io, e.restore.placement);
+  io.boolean(e.restore.backfilled);
+  io.i32(e.restore.dyn_requests_made);
+  io.i32(e.restore.dyn_grants);
+  io.i32(e.restore.dyn_rejects);
+  fields(io, e.app);
 }
 
-cluster::Placement get_placement(Reader& r) {
-  cluster::Placement p;
-  const std::size_t n = r.count(12);
-  p.shares.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    cluster::NodeShare share;
-    share.node = NodeId(r.u64());
-    share.cores = r.i32();
-    p.shares.push_back(share);
-  }
-  return p;
+template <class Io, Is<rms::DynRequest> D>
+void fields(Io& io, D& d) {
+  io.id(d.id);
+  io.id(d.job);
+  io.i32(d.extra_cores);
+  io.time(d.submitted);
+  io.i32(d.attempt);
+  io.time(d.deadline);
 }
 
-void put_app(Writer& w, const rms::AppState& a) {
-  w.u32(a.kind);
-  w.u32(static_cast<std::uint32_t>(a.ints.size()));
-  for (const auto v : a.ints) w.i64(v);
-  w.u32(static_cast<std::uint32_t>(a.doubles.size()));
-  for (const auto v : a.doubles) w.f64(v);
+template <class Io, Is<rms::MomManager::RuntimeState> M>
+void fields(Io& io, M& m) {
+  io.id(m.job);
+  io.i32(m.cores);
+  io.time(m.finish_at);
+  io.boolean(m.has_ask);
+  io.time(m.ask.at);
+  io.i32(m.ask.extra_cores);
+  io.duration(m.ask.timeout);
+  io.i32(m.ask_attempt);
+  io.boolean(m.has_release);
+  io.time(m.release.at);
+  io.i32(m.release.cores);
 }
 
-rms::AppState get_app(Reader& r) {
-  rms::AppState a;
-  a.kind = r.u32();
-  const std::size_t ni = r.count(8);
-  a.ints.reserve(ni);
-  for (std::size_t i = 0; i < ni; ++i) a.ints.push_back(r.i64());
-  const std::size_t nd = r.count(8);
-  a.doubles.reserve(nd);
-  for (std::size_t i = 0; i < nd; ++i) a.doubles.push_back(r.f64());
-  return a;
-}
-
-void put_job_entry(Writer& w, const SystemState::JobEntry& e) {
-  w.u64(e.id.value());
-  put_spec(w, e.spec);
-  w.time(e.submit);
-  w.u8(static_cast<std::uint8_t>(e.restore.state));
-  w.opt_time(e.restore.start);
-  w.opt_time(e.restore.end);
-  put_placement(w, e.restore.placement);
-  w.boolean(e.restore.backfilled);
-  w.i32(e.restore.dyn_requests_made);
-  w.i32(e.restore.dyn_grants);
-  w.i32(e.restore.dyn_rejects);
-  put_app(w, e.app);
-}
-
-SystemState::JobEntry get_job_entry(Reader& r) {
-  SystemState::JobEntry e;
-  e.id = JobId(r.u64());
-  e.spec = get_spec(r);
-  e.submit = r.time();
-  const std::uint8_t state = r.u8();
-  DBS_REQUIRE(state <= static_cast<std::uint8_t>(rms::JobState::Cancelled),
-              "snapshot job state out of range");
-  e.restore.state = static_cast<rms::JobState>(state);
-  e.restore.start = r.opt_time();
-  e.restore.end = r.opt_time();
-  e.restore.placement = get_placement(r);
-  e.restore.backfilled = r.boolean();
-  e.restore.dyn_requests_made = r.i32();
-  e.restore.dyn_grants = r.i32();
-  e.restore.dyn_rejects = r.i32();
-  e.app = get_app(r);
-  return e;
-}
-
-void put_dyn_request(Writer& w, const rms::DynRequest& d) {
-  w.u64(d.id.value());
-  w.u64(d.job.value());
-  w.i32(d.extra_cores);
-  w.time(d.submitted);
-  w.i32(d.attempt);
-  w.time(d.deadline);
-}
-
-rms::DynRequest get_dyn_request(Reader& r) {
-  rms::DynRequest d;
-  d.id = RequestId(r.u64());
-  d.job = JobId(r.u64());
-  d.extra_cores = r.i32();
-  d.submitted = r.time();
-  d.attempt = r.i32();
-  d.deadline = r.time();
-  return d;
-}
-
-void put_mom(Writer& w, const rms::MomManager::RuntimeState& m) {
-  w.u64(m.job.value());
-  w.i32(m.cores);
-  w.time(m.finish_at);
-  w.boolean(m.has_ask);
-  w.time(m.ask.at);
-  w.i32(m.ask.extra_cores);
-  w.duration(m.ask.timeout);
-  w.i32(m.ask_attempt);
-  w.boolean(m.has_release);
-  w.time(m.release.at);
-  w.i32(m.release.cores);
-}
-
-rms::MomManager::RuntimeState get_mom(Reader& r) {
-  rms::MomManager::RuntimeState m;
-  m.job = JobId(r.u64());
-  m.cores = r.i32();
-  m.finish_at = r.time();
-  m.has_ask = r.boolean();
-  m.ask.at = r.time();
-  m.ask.extra_cores = r.i32();
-  m.ask.timeout = r.duration();
-  m.ask_attempt = r.i32();
-  m.has_release = r.boolean();
-  m.release.at = r.time();
-  m.release.cores = r.i32();
-  return m;
-}
-
-void put_scheduler(Writer& w, const core::MauiScheduler::ServiceState& s) {
-  w.u64(s.iterations);
-  w.time(s.last_usage_update);
-  w.boolean(s.poll_pending);
-  w.time(s.poll_at);
-  w.time(s.fairshare.window_start);
-  w.u32(static_cast<std::uint32_t>(s.fairshare.windows.size()));
-  for (const auto& [user, windows] : s.fairshare.windows) {
-    w.str(user);
-    w.u32(static_cast<std::uint32_t>(windows.size()));
-    for (const double v : windows) w.f64(v);
-  }
-  w.time(s.dfs.interval_start);
-  for (const auto& entity : s.dfs.entities) {
-    w.u32(static_cast<std::uint32_t>(entity.size()));
-    for (const auto& [name, delay] : entity) {
-      w.str(name);
-      w.duration(delay);
-    }
-  }
-  w.u32(static_cast<std::uint32_t>(s.dfs.job_delays.size()));
-  for (const auto& [job, delay] : s.dfs.job_delays) {
-    w.u64(job.value());
-    w.duration(delay);
-  }
-}
-
-core::MauiScheduler::ServiceState get_scheduler(Reader& r) {
-  core::MauiScheduler::ServiceState s;
-  s.iterations = r.u64();
-  s.last_usage_update = r.time();
-  s.poll_pending = r.boolean();
-  s.poll_at = r.time();
-  s.fairshare.window_start = r.time();
-  const std::size_t nu = r.count(8);
-  s.fairshare.windows.reserve(nu);
-  for (std::size_t i = 0; i < nu; ++i) {
-    std::string user = r.str();
-    const std::size_t nw = r.count(8);
-    std::vector<double> windows;
-    windows.reserve(nw);
-    for (std::size_t j = 0; j < nw; ++j) windows.push_back(r.f64());
-    s.fairshare.windows.emplace_back(std::move(user), std::move(windows));
-  }
-  s.dfs.interval_start = r.time();
+template <class Io, Is<core::MauiScheduler::ServiceState> S>
+void fields(Io& io, S& s) {
+  io.u64(s.iterations);
+  io.time(s.last_usage_update);
+  io.boolean(s.poll_pending);
+  io.time(s.poll_at);
+  io.time(s.fairshare.window_start);
+  io.seq(s.fairshare.windows, 8, [&](auto& user) {
+    io.str(user.first);
+    io.seq(user.second, 8, [&](auto& v) { io.f64(v); });
+  });
+  io.time(s.dfs.interval_start);
   for (auto& entity : s.dfs.entities) {
-    const std::size_t ne = r.count(12);
-    entity.reserve(ne);
-    for (std::size_t i = 0; i < ne; ++i) {
-      std::string name = r.str();
-      const Duration delay = r.duration();
-      entity.emplace_back(std::move(name), delay);
-    }
+    io.seq(entity, 12, [&](auto& delay) {
+      io.str(delay.first);
+      io.duration(delay.second);
+    });
   }
-  const std::size_t nj = r.count(16);
-  s.dfs.job_delays.reserve(nj);
-  for (std::size_t i = 0; i < nj; ++i) {
-    const JobId job{r.u64()};
-    s.dfs.job_delays.emplace_back(job, r.duration());
-  }
-  return s;
+  io.seq(s.dfs.job_delays, 16, [&](auto& delay) {
+    io.id(delay.first);
+    io.duration(delay.second);
+  });
 }
 
-void put_job_record(Writer& w, const metrics::JobRecord& j) {
-  w.u64(j.id.value());
-  w.str(j.name);
-  w.str(j.user);
-  w.str(j.type_tag);
-  w.i32(j.cores_requested);
-  w.i32(j.cores_peak);
-  w.time(j.submit);
-  w.opt_time(j.start);
-  w.opt_time(j.end);
-  w.boolean(j.backfilled);
-  w.boolean(j.evolving);
-  w.i32(j.dyn_requests);
-  w.i32(j.dyn_grants);
-  w.i32(j.dyn_rejects);
-  w.i32(j.requeues);
-  w.i32(j.malleable_shrinks);
+template <class Io, Is<metrics::JobRecord> J>
+void fields(Io& io, J& j) {
+  io.id(j.id);
+  io.str(j.name);
+  io.str(j.user);
+  io.str(j.type_tag);
+  io.i32(j.cores_requested);
+  io.i32(j.cores_peak);
+  io.time(j.submit);
+  io.opt_time(j.start);
+  io.opt_time(j.end);
+  io.boolean(j.backfilled);
+  io.boolean(j.evolving);
+  io.i32(j.dyn_requests);
+  io.i32(j.dyn_grants);
+  io.i32(j.dyn_rejects);
+  io.i32(j.requeues);
+  io.i32(j.malleable_shrinks);
 }
 
-metrics::JobRecord get_job_record(Reader& r) {
-  metrics::JobRecord j;
-  j.id = JobId(r.u64());
-  j.name = r.str();
-  j.user = r.str();
-  j.type_tag = r.str();
-  j.cores_requested = r.i32();
-  j.cores_peak = r.i32();
-  j.submit = r.time();
-  j.start = r.opt_time();
-  j.end = r.opt_time();
-  j.backfilled = r.boolean();
-  j.evolving = r.boolean();
-  j.dyn_requests = r.i32();
-  j.dyn_grants = r.i32();
-  j.dyn_rejects = r.i32();
-  j.requeues = r.i32();
-  j.malleable_shrinks = r.i32();
-  return j;
+template <class Io, Is<metrics::Recorder::State> M>
+void fields(Io& io, M& m) {
+  io.u64(m.totals.submitted);
+  io.u64(m.totals.completed);
+  io.u64(m.totals.backfilled);
+  io.u64(m.totals.evolving);
+  io.u64(m.totals.satisfied_dyn);
+  io.u64(m.totals.granted_dyn_requests);
+  io.duration(m.totals.wait_sum);
+  io.duration(m.totals.turnaround_sum);
+  io.duration(m.totals.max_wait);
+  io.f64(m.usage_integral);
+  io.time(m.last_usage_t);
+  io.i32(m.last_used);
+  io.time(m.first_submit);
+  io.time(m.last_finish);
+  io.seq(m.live, 32, [&](auto& j) { fields(io, j); });
 }
 
-void put_metrics(Writer& w, const metrics::Recorder::State& m) {
-  w.u64(m.totals.submitted);
-  w.u64(m.totals.completed);
-  w.u64(m.totals.backfilled);
-  w.u64(m.totals.evolving);
-  w.u64(m.totals.satisfied_dyn);
-  w.u64(m.totals.granted_dyn_requests);
-  w.duration(m.totals.wait_sum);
-  w.duration(m.totals.turnaround_sum);
-  w.duration(m.totals.max_wait);
-  w.f64(m.usage_integral);
-  w.time(m.last_usage_t);
-  w.i32(m.last_used);
-  w.time(m.first_submit);
-  w.time(m.last_finish);
-  w.u32(static_cast<std::uint32_t>(m.live.size()));
-  for (const auto& j : m.live) put_job_record(w, j);
+/// A snapshot after its FileHead.
+template <class Io, Is<SystemState> S>
+void fields(Io& io, S& s) {
+  io.time(s.now);
+  io.u64(s.next_job);
+  io.u64(s.next_request);
+  io.seq(s.jobs, 1, [&](auto& e) { fields(io, e); });
+  io.seq(s.dyn_fifo, 40, [&](auto& d) { fields(io, d); });
+  io.seq(s.hints, 16, [&](auto& hint) {
+    io.id(hint.first);
+    io.time(hint.second);
+  });
+  io.seq(s.node_states, 1, [&](auto& v) { io.u8(v); });
+  io.seq(s.moms, 8, [&](auto& m) { fields(io, m); });
+  fields(io, s.scheduler);
+  fields(io, s.metrics);
+  io.time(s.last_admitted);
+  io.u64(s.wal_ingest);
+  io.u64(s.wal_decisions);
+  for (auto& v : s.rng) io.u64(v);
 }
 
-metrics::Recorder::State get_metrics(Reader& r) {
-  metrics::Recorder::State m;
-  m.totals.submitted = r.u64();
-  m.totals.completed = r.u64();
-  m.totals.backfilled = r.u64();
-  m.totals.evolving = r.u64();
-  m.totals.satisfied_dyn = r.u64();
-  m.totals.granted_dyn_requests = r.u64();
-  m.totals.wait_sum = r.duration();
-  m.totals.turnaround_sum = r.duration();
-  m.totals.max_wait = r.duration();
-  m.usage_integral = r.f64();
-  m.last_usage_t = r.time();
-  m.last_used = r.i32();
-  m.first_submit = r.time();
-  m.last_finish = r.time();
-  const std::size_t n = r.count(32);
-  m.live.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) m.live.push_back(get_job_record(r));
-  return m;
+/// A WAL ingest frame's payload.
+template <class Io, Is<IngestRecord> R>
+void fields(Io& io, R& r) {
+  io.u64(r.seq);
+  io.enum8(r.kind, IngestKind::Submit, IngestKind::Cancel, "kind");
+  io.time(r.requested);
+  io.time(r.admitted);
+  fields(io, r.spec);
+  fields(io, r.behavior);
+  io.id(r.job);
+}
+
+/// The framing of every WAL record: [type u8][len u32][payload].
+struct FrameHead {
+  std::uint8_t type = 0;
+  std::uint32_t len = 0;
+};
+constexpr std::size_t kFrameHeadSize = 5;
+/// Offset of `len` within an encoded FrameHead.
+constexpr std::size_t kFrameLenOffset = 1;
+
+template <class Io, Is<FrameHead> F>
+void fields(Io& io, F& f) {
+  io.u8(f.type);
+  io.u32(f.len);
+}
+
+/// The head of a decision frame's payload, the only part read_wal decodes.
+template <class Io, Is<WalDecision> D>
+void decision_head(Io& io, D& d) {
+  io.time(d.at);
+  io.u64(d.iteration);
+}
+
+/// A WAL decision frame's payload. Decisions are written, never decoded:
+/// recovery compares them byte for byte (encode_decision).
+void decision_fields(Writer& w, Time at, std::uint64_t iteration,
+                     const rms::Decision& d) {
+  const WalDecision head{at, iteration, {}};
+  decision_head(w, head);
+  w.enum8(d.kind);
+  w.id(d.job);
+  w.id(d.for_job);
+  w.id(d.request);
+  w.i32(d.cores);
+  w.time(d.start);
+  w.boolean(d.backfilled);
+  w.boolean(d.applied);
+  w.boolean(d.deferred);
+  w.str(d.reason);
+  w.opt_time(d.hint);
 }
 
 // --- file helpers ----------------------------------------------------------
@@ -497,6 +312,30 @@ void fsync_parent_dir(const std::string& path) {
     in.read(reinterpret_cast<char*>(data.data()), size);
   DBS_REQUIRE(in.good(), "read failed: " + path);
   return data;
+}
+
+/// The snapshot-<decisions>.dbss files in `state_dir` as (decisions,
+/// path), newest first; empty if the directory does not exist.
+std::vector<std::pair<std::uint64_t, std::string>> list_snapshots(
+    const std::string& state_dir) {
+  namespace fs = std::filesystem;
+  std::vector<std::pair<std::uint64_t, std::string>> found;
+  if (!fs::is_directory(state_dir)) return found;
+  for (const auto& entry : fs::directory_iterator(state_dir)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with("snapshot-") || !name.ends_with(".dbss")) continue;
+    // Digits only, and within u64 (std::stoull would throw past it).
+    const char* const first = name.data() + 9;
+    const char* const last = name.data() + name.size() - 5;
+    std::uint64_t decisions = 0;
+    const auto [end, ec] = std::from_chars(first, last, decisions);
+    if (ec != std::errc{} || end != last) continue;
+    found.emplace_back(decisions, entry.path().string());
+  }
+  std::sort(found.begin(), found.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  return found;
 }
 
 }  // namespace
@@ -593,68 +432,21 @@ void restore_state(batch::BatchSystem& system, const SystemState& s) {
 std::vector<unsigned char> encode_state(const SystemState& s) {
   std::vector<unsigned char> out;
   Writer w(out);
-  w.u32(kSnapshotMagic);
-  w.u32(kSnapshotVersion);
-  w.time(s.now);
-  w.u64(s.next_job);
-  w.u64(s.next_request);
-  w.u32(static_cast<std::uint32_t>(s.jobs.size()));
-  for (const auto& e : s.jobs) put_job_entry(w, e);
-  w.u32(static_cast<std::uint32_t>(s.dyn_fifo.size()));
-  for (const auto& d : s.dyn_fifo) put_dyn_request(w, d);
-  w.u32(static_cast<std::uint32_t>(s.hints.size()));
-  for (const auto& [job, at] : s.hints) {
-    w.u64(job.value());
-    w.time(at);
-  }
-  w.u32(static_cast<std::uint32_t>(s.node_states.size()));
-  for (const auto v : s.node_states) w.u8(v);
-  w.u32(static_cast<std::uint32_t>(s.moms.size()));
-  for (const auto& m : s.moms) put_mom(w, m);
-  put_scheduler(w, s.scheduler);
-  put_metrics(w, s.metrics);
-  w.time(s.last_admitted);
-  w.u64(s.wal_ingest);
-  w.u64(s.wal_decisions);
-  for (const auto v : s.rng) w.u64(v);
+  const FileHead head{kSnapshotMagic, kSnapshotVersion};
+  fields(w, head);
+  fields(w, s);
   return out;
 }
 
 SystemState decode_state(const unsigned char* data, std::size_t size) {
-  Reader r(data, size);
-  DBS_REQUIRE(r.u32() == kSnapshotMagic, "not a DBSS snapshot");
-  const std::uint32_t version = r.u32();
-  DBS_REQUIRE(version == kSnapshotVersion,
-              "unsupported snapshot version " + std::to_string(version));
+  Reader r(data, size, "snapshot");
+  FileHead head;
+  fields(r, head);
+  DBS_REQUIRE(head.magic == kSnapshotMagic, "not a DBSS snapshot");
+  DBS_REQUIRE(head.version == kSnapshotVersion,
+              "unsupported snapshot version " + std::to_string(head.version));
   SystemState s;
-  s.now = r.time();
-  s.next_job = r.u64();
-  s.next_request = r.u64();
-  const std::size_t nj = r.count(1);
-  s.jobs.reserve(nj);
-  for (std::size_t i = 0; i < nj; ++i) s.jobs.push_back(get_job_entry(r));
-  const std::size_t nd = r.count(40);
-  s.dyn_fifo.reserve(nd);
-  for (std::size_t i = 0; i < nd; ++i)
-    s.dyn_fifo.push_back(get_dyn_request(r));
-  const std::size_t nh = r.count(16);
-  s.hints.reserve(nh);
-  for (std::size_t i = 0; i < nh; ++i) {
-    const JobId job{r.u64()};
-    s.hints.emplace_back(job, r.time());
-  }
-  const std::size_t nn = r.count(1);
-  s.node_states.reserve(nn);
-  for (std::size_t i = 0; i < nn; ++i) s.node_states.push_back(r.u8());
-  const std::size_t nm = r.count(8);
-  s.moms.reserve(nm);
-  for (std::size_t i = 0; i < nm; ++i) s.moms.push_back(get_mom(r));
-  s.scheduler = get_scheduler(r);
-  s.metrics = get_metrics(r);
-  s.last_admitted = r.time();
-  s.wal_ingest = r.u64();
-  s.wal_decisions = r.u64();
-  for (auto& v : s.rng) v = r.u64();
+  fields(r, s);
   DBS_REQUIRE(r.done(), "trailing bytes after snapshot");
   return s;
 }
@@ -669,49 +461,21 @@ std::vector<unsigned char> encode_decision(Time at, std::uint64_t iteration,
                                            const rms::Decision& d) {
   std::vector<unsigned char> out;
   Writer w(out);
-  w.time(at);
-  w.u64(iteration);
-  w.u8(static_cast<std::uint8_t>(d.kind));
-  w.u64(d.job.value());
-  w.u64(d.for_job.value());
-  w.u64(d.request.value());
-  w.i32(d.cores);
-  w.time(d.start);
-  w.boolean(d.backfilled);
-  w.boolean(d.applied);
-  w.boolean(d.deferred);
-  w.str(d.reason);
-  w.opt_time(d.hint);
+  decision_fields(w, at, iteration, d);
   return out;
 }
 
 std::vector<unsigned char> encode_ingest(const IngestRecord& r) {
   std::vector<unsigned char> out;
   Writer w(out);
-  w.u64(r.seq);
-  w.u8(static_cast<std::uint8_t>(r.kind));
-  w.time(r.requested);
-  w.time(r.admitted);
-  put_spec(w, r.spec);
-  put_behavior(w, r.behavior);
-  w.u64(r.job.value());
+  fields(w, r);
   return out;
 }
 
 IngestRecord decode_ingest(const unsigned char* data, std::size_t size) {
-  Reader r(data, size);
+  Reader r(data, size, "WAL ingest");
   IngestRecord rec;
-  rec.seq = r.u64();
-  const std::uint8_t kind = r.u8();
-  DBS_REQUIRE(kind == static_cast<std::uint8_t>(IngestKind::Submit) ||
-                  kind == static_cast<std::uint8_t>(IngestKind::Cancel),
-              "WAL ingest kind out of range");
-  rec.kind = static_cast<IngestKind>(kind);
-  rec.requested = r.time();
-  rec.admitted = r.time();
-  rec.spec = get_spec(r);
-  rec.behavior = get_behavior(r);
-  rec.job = JobId(r.u64());
+  fields(r, rec);
   DBS_REQUIRE(r.done(), "trailing bytes after WAL ingest record");
   return rec;
 }
@@ -723,10 +487,11 @@ WalWriter::WalWriter(const std::string& path, std::uint64_t keep_bytes)
   if (keep_bytes == 0) {
     fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     DBS_REQUIRE(fd_ >= 0, "cannot create WAL: " + path);
-    unsigned char header[kWalHeaderSize];
-    store_le<std::uint32_t>(header, kWalMagic);
-    store_le<std::uint32_t>(header + 4, kWalVersion);
-    write_all(fd_, header, sizeof(header), path_);
+    std::vector<unsigned char> header;
+    Writer w(header);
+    const FileHead head{kWalMagic, kWalVersion};
+    fields(w, head);
+    write_all(fd_, header.data(), header.size(), path_);
     fsync_checked(fd_, path_);
     fsync_parent_dir(path_);
   } else {
@@ -752,23 +517,34 @@ WalWriter::~WalWriter() {
   }
 }
 
-void WalWriter::append_record(std::uint8_t type,
-                              const std::vector<unsigned char>& payload) {
-  buffer_.push_back(type);
-  unsigned char len[4];
-  store_le<std::uint32_t>(len, static_cast<std::uint32_t>(payload.size()));
-  buffer_.insert(buffer_.end(), len, len + 4);
-  buffer_.insert(buffer_.end(), payload.begin(), payload.end());
+std::size_t WalWriter::begin_frame(std::uint8_t type) {
+  const std::size_t frame = buffer_.size();
+  Writer w(buffer_);
+  const FrameHead head{type, 0};
+  fields(w, head);
+  return frame;
+}
+
+void WalWriter::end_frame(std::size_t frame) {
+  const std::size_t len = buffer_.size() - frame - kFrameHeadSize;
+  store_le<std::uint32_t>(buffer_.data() + frame + kFrameLenOffset,
+                          static_cast<std::uint32_t>(len));
 }
 
 void WalWriter::append_ingest(const IngestRecord& r) {
-  append_record(kWalIngest, encode_ingest(r));
+  const std::size_t frame = begin_frame(kWalIngest);
+  Writer w(buffer_);
+  fields(w, r);
+  end_frame(frame);
   ++ingest_;
 }
 
 void WalWriter::append_decision(Time at, std::uint64_t iteration,
                                 const rms::Decision& d) {
-  append_record(kWalDecision, encode_decision(at, iteration, d));
+  const std::size_t frame = begin_frame(kWalDecision);
+  Writer w(buffer_);
+  decision_fields(w, at, iteration, d);
+  end_frame(frame);
   ++decisions_;
 }
 
@@ -789,41 +565,38 @@ WalContents read_wal(const std::string& path) {
     return out;
   }
   const std::vector<unsigned char> data = read_file(path);
-  DBS_REQUIRE(data.size() >= kWalHeaderSize, "WAL shorter than its header");
-  DBS_REQUIRE(load_le<std::uint32_t>(data.data()) == kWalMagic,
-              "not a DBSW WAL");
-  const std::uint32_t version = load_le<std::uint32_t>(data.data() + 4);
-  DBS_REQUIRE(version == kWalVersion,
-              "unsupported WAL version " + std::to_string(version));
+  Reader r(data.data(), data.size(), "WAL");
+  FileHead head;
+  fields(r, head);
+  DBS_REQUIRE(head.magic == kWalMagic, "not a DBSW WAL");
+  DBS_REQUIRE(head.version == kWalVersion,
+              "unsupported WAL version " + std::to_string(head.version));
 
-  std::size_t pos = kWalHeaderSize;
   // Anything that fails to parse past this point is a torn tail from a
   // crash mid-append: stop at the last complete record rather than throw.
-  while (pos + 5 <= data.size()) {
-    const std::uint8_t type = data[pos];
-    const std::uint32_t len = load_le<std::uint32_t>(data.data() + pos + 1);
-    if (type != kWalIngest && type != kWalDecision) break;
-    if (pos + 5 + len > data.size()) break;
-    const unsigned char* payload = data.data() + pos + 5;
-    if (type == kWalIngest) {
-      IngestRecord rec;
-      try {
-        rec = decode_ingest(payload, len);
-      } catch (const precondition_error&) {
-        break;
+  std::size_t valid = r.offset();
+  while (r.remaining() >= kFrameHeadSize) {
+    FrameHead frame;
+    fields(r, frame);
+    if (frame.type != kWalIngest && frame.type != kWalDecision) break;
+    if (frame.len > r.remaining()) break;
+    const unsigned char* payload = r.bytes(frame.len);
+    try {
+      if (frame.type == kWalIngest) {
+        out.ingest.push_back(decode_ingest(payload, frame.len));
+      } else {
+        WalDecision d;
+        Reader head_reader(payload, frame.len, "WAL decision");
+        decision_head(head_reader, d);
+        d.payload.assign(payload, payload + frame.len);
+        out.decisions.push_back(std::move(d));
       }
-      out.ingest.push_back(std::move(rec));
-    } else {
-      if (len < 16) break;
-      WalDecision d;
-      d.at = Time::from_micros(load_le<std::int64_t>(payload));
-      d.iteration = load_le<std::uint64_t>(payload + 8);
-      d.payload.assign(payload, payload + len);
-      out.decisions.push_back(std::move(d));
+    } catch (const precondition_error&) {
+      break;
     }
-    pos += 5 + len;
+    valid = r.offset();
   }
-  out.valid_bytes = pos;
+  out.valid_bytes = valid;
   return out;
 }
 
@@ -855,28 +628,9 @@ void write_snapshot(const std::string& state_dir, const SystemState& s) {
 std::optional<SystemState> load_best_snapshot(const std::string& state_dir,
                                               std::uint64_t wal_ingest,
                                               std::uint64_t wal_decisions) {
-  namespace fs = std::filesystem;
-  if (!fs::is_directory(state_dir)) return std::nullopt;
-
-  std::vector<std::pair<std::uint64_t, std::string>> candidates;
-  for (const auto& entry : fs::directory_iterator(state_dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (!name.starts_with("snapshot-") || !name.ends_with(".dbss")) continue;
-    const std::string digits =
-        name.substr(9, name.size() - 9 - 5);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    candidates.emplace_back(std::stoull(digits), entry.path().string());
-  }
-  // Newest (most decisions already covered) first; the WAL-consistency
-  // check below skips snapshots from a future the truncated WAL no longer
-  // reaches.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-
-  for (const auto& [decisions, path] : candidates) {
+  // Newest first: the WAL-consistency check below skips snapshots from a
+  // future the truncated WAL no longer reaches.
+  for (const auto& [decisions, path] : list_snapshots(state_dir)) {
     SystemState s;
     try {
       s = decode_state(read_file(path));
@@ -890,28 +644,12 @@ std::optional<SystemState> load_best_snapshot(const std::string& state_dir,
 }
 
 std::size_t prune_snapshots(const std::string& state_dir, std::size_t keep) {
-  namespace fs = std::filesystem;
-  if (keep == 0 || !fs::is_directory(state_dir)) return 0;
-
-  std::vector<std::pair<std::uint64_t, std::string>> candidates;
-  for (const auto& entry : fs::directory_iterator(state_dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (!name.starts_with("snapshot-") || !name.ends_with(".dbss")) continue;
-    const std::string digits = name.substr(9, name.size() - 9 - 5);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    candidates.emplace_back(std::stoull(digits), entry.path().string());
-  }
-  if (candidates.size() <= keep) return 0;
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-
+  if (keep == 0) return 0;
+  const auto snapshots = list_snapshots(state_dir);
   std::size_t removed = 0;
   std::error_code ec;
-  for (std::size_t i = keep; i < candidates.size(); ++i)
-    if (fs::remove(candidates[i].second, ec)) ++removed;
+  for (std::size_t i = keep; i < snapshots.size(); ++i)
+    if (std::filesystem::remove(snapshots[i].second, ec)) ++removed;
   return removed;
 }
 

@@ -161,8 +161,11 @@ class WalWriter {
   }
 
  private:
-  void append_record(std::uint8_t type,
-                     const std::vector<unsigned char>& payload);
+  /// Appends a frame head with a zero length; returns its offset in
+  /// buffer_. The payload is then encoded straight into buffer_.
+  std::size_t begin_frame(std::uint8_t type);
+  /// Sets the length of the frame at `frame` to the bytes encoded since.
+  void end_frame(std::size_t frame);
 
   int fd_ = -1;
   std::string path_;

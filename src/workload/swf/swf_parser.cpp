@@ -70,7 +70,10 @@ void SwfParser::parse_directive() {
   const auto numeric = parse_int(value);
   if (!numeric.has_value()) return;
   if (iequals(key, "MaxJobs")) header_.max_jobs = *numeric;
-  if (iequals(key, "MaxProcs")) header_.max_procs = *numeric;
+  if (iequals(key, "MaxProcs")) {
+    header_.max_procs = *numeric;
+    header_.max_procs_line = lines_;
+  }
   if (iequals(key, "MaxNodes")) header_.max_nodes = *numeric;
 }
 

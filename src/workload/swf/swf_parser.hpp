@@ -53,6 +53,7 @@ enum class MalformedPolicy {
 struct SwfHeader {
   std::int64_t max_jobs = -1;   ///< MaxJobs
   std::int64_t max_procs = -1;  ///< MaxProcs
+  std::uint64_t max_procs_line = 0;  ///< line of MaxProcs (0 = none)
   std::int64_t max_nodes = -1;  ///< MaxNodes
   std::vector<std::pair<std::string, std::string>> directives;
 };

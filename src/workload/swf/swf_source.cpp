@@ -47,6 +47,26 @@ SwfSource::SwfSource(std::istream& in, SwfSourceConfig config)
               "overlay fraction must be in [0, 1]");
 }
 
+std::size_t SwfSource::size_cluster(std::size_t nodes,
+                                    CoreCount cores_per_node,
+                                    const std::string& path) {
+  DBS_REQUIRE(cores_per_node >= 1, "cores per node must be >= 1");
+  const auto per_node = static_cast<std::size_t>(cores_per_node);
+  const SwfHeader& h = header();
+  if (nodes == 0 && h.max_procs > kMaxCores)
+    throw precondition_error(path + ":" + std::to_string(h.max_procs_line) +
+                             ": MaxProcs " + std::to_string(h.max_procs) +
+                             " does not fit a core count (at most " +
+                             std::to_string(kMaxCores) + ")");
+  if (nodes == 0)
+    nodes = (static_cast<std::size_t>(h.max_procs > 0 ? h.max_procs : 128) +
+             per_node - 1) / per_node;
+  set_max_cores(static_cast<CoreCount>(
+      std::min(nodes, static_cast<std::size_t>(kMaxCores) / per_node) *
+      per_node));
+  return nodes;
+}
+
 bool SwfSource::overlay_marks(std::uint64_t seed, double fraction,
                               std::int64_t job_number) {
   if (fraction <= 0.0) return false;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 
@@ -50,6 +51,13 @@ class SwfSource final : public SubmissionSource {
   /// header (which is only known after construction). Must be called
   /// before the first next().
   void set_max_cores(CoreCount max_cores) { config_.max_cores = max_cores; }
+
+  /// Returns `nodes`, or for 0 enough nodes for the header's MaxProcs (128
+  /// cores without one), and clamps job sizes to that machine. Throws
+  /// precondition_error naming `path`, the line and the value if MaxProcs
+  /// does not fit a CoreCount. Must be called before the first next().
+  std::size_t size_cluster(std::size_t nodes, CoreCount cores_per_node,
+                           const std::string& path);
 
   /// Whether the overlay marks SWF job `job_number` evolving — exposed so
   /// tests can verify window/order independence of the draw.

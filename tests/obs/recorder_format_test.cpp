@@ -41,9 +41,10 @@ TEST(RecordCodec, RoundTripsEveryField) {
   r.type = RecordType::DecRejectDyn;
   r.flags = kFlagApplied | kFlagDeferred | kFlagHasHint;
 
-  unsigned char buf[kRecordSize];
+  std::vector<unsigned char> buf;
   encode_record(r, buf);
-  const PackedRecord d = decode_record(buf);
+  ASSERT_EQ(buf.size(), kRecordSize);
+  const PackedRecord d = decode_record(buf.data());
   EXPECT_EQ(d.t_us, r.t_us);
   EXPECT_EQ(d.aux_us, r.aux_us);
   EXPECT_EQ(d.job, r.job);
@@ -62,8 +63,9 @@ TEST(RecordCodec, RoundTripsEveryField) {
 TEST(RecordCodec, EncodingIsLittleEndianAndPadded) {
   PackedRecord r;
   r.t_us = 0x0102030405060708;
-  unsigned char buf[kRecordSize];
+  std::vector<unsigned char> buf;
   encode_record(r, buf);
+  ASSERT_EQ(buf.size(), kRecordSize);
   EXPECT_EQ(buf[0], 0x08);  // least-significant byte first
   EXPECT_EQ(buf[7], 0x01);
   for (std::size_t i = 42; i < kRecordSize; ++i) EXPECT_EQ(buf[i], 0);
@@ -247,6 +249,97 @@ TEST(RecordReader, RejectsCorruptFiles) {
   std::remove(good.c_str());
   std::remove(truncated.c_str());
   std::remove(bad_magic.c_str());
+}
+
+/// The little-endian u64 at `offset` of `bytes`.
+std::uint64_t u64_at(const std::string& bytes, std::size_t offset) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
+             bytes[offset + i]))
+         << (8 * i);
+  return v;
+}
+
+TEST(RecordReader, CorruptCountsFailWithoutAllocating) {
+  const std::string good = temp_path("counts_good");
+  {
+    RecordWriter writer;
+    ASSERT_TRUE(writer.open(good, 64, 1'000'000));
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      PackedRecord r = make_record(700'000 * i, RecordType::Submit, i % 4);
+      r.user = writer.intern("user" + std::to_string(i % 3));
+      writer.append(r);
+    }
+    ASSERT_TRUE(writer.finalize());
+  }
+  std::ifstream in(good, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  const std::size_t footer = bytes.size() - kFooterSize;
+  const std::size_t strings_off = u64_at(bytes, footer + 8);
+  const std::size_t job_index_off = u64_at(bytes, footer + 16);
+  const std::size_t time_index_off = u64_at(bytes, footer + 32);
+
+  struct Case {
+    const char* name;
+    const char* section;  ///< must appear in the error
+    std::vector<std::size_t> offsets;  ///< each gets 0xFFFFFFFF
+  };
+  const std::vector<Case> cases = {
+      {"strings", "string table", {strings_off}},
+      // The footer's job count as well, so the two counts still agree.
+      {"jobs", "job index", {job_index_off, footer + 40}},
+      // The first entry's count: after the u32 entry count, u64 job and
+      // u64 postings start.
+      {"postings", "postings", {job_index_off + 20}},
+      {"buckets", "time index", {time_index_off + 8}},
+  };
+  for (const Case& c : cases) {
+    std::string patched = bytes;
+    for (const std::size_t offset : c.offsets)
+      patched.replace(offset, 4, "\xff\xff\xff\xff");
+    const std::string path = temp_path(std::string("counts_") + c.name);
+    std::ofstream(path, std::ios::binary) << patched;
+    RecordReader reader;
+    EXPECT_FALSE(reader.open(path)) << c.name;
+    EXPECT_NE(reader.error().find(c.section), std::string::npos)
+        << c.name << ": " << reader.error();
+    std::remove(path.c_str());
+  }
+  std::remove(good.c_str());
+}
+
+TEST(RecordReader, CorruptFirstBucketDoesNotOverflow) {
+  const std::string good = temp_path("first_bucket_good");
+  {
+    RecordWriter writer;
+    ASSERT_TRUE(writer.open(good, 64, 1'000'000));
+    for (std::int64_t t = 0; t < 5; ++t)
+      writer.append(make_record(t * 1'000'000, RecordType::Submit, 0));
+    ASSERT_TRUE(writer.finalize());
+  }
+  std::ifstream in(good, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  in.close();
+  // The time index opens with the i64 first bucket; INT64_MIN made the
+  // bucket arithmetic overflow (undefined behaviour).
+  const std::size_t time_index_off =
+      u64_at(bytes, bytes.size() - kFooterSize + 32);
+  bytes.replace(time_index_off, 8, std::string("\0\0\0\0\0\0\0\x80", 8));
+  const std::string path = temp_path("first_bucket_bad");
+  std::ofstream(path, std::ios::binary) << bytes;
+
+  RecordReader reader;
+  ASSERT_TRUE(reader.open(path)) << reader.error();
+  EXPECT_EQ(reader.scan_range(2'000'000, 4'000'000,
+                              [](const PackedRecord&) {}),
+            0u);  // the index puts 2 s far past its last bucket
+  EXPECT_EQ(reader.scan_all([](const PackedRecord&) {}), 5u);
+  std::remove(path.c_str());
+  std::remove(good.c_str());
 }
 
 TEST(Manifest, ShardPathsAndJson) {

@@ -155,6 +155,59 @@ TEST(StateCodec, RejectsBadMagicBadVersionAndTruncation) {
   }
 }
 
+/// The message decode_state throws for `bytes`, or "" if it decodes.
+std::string decode_error(const std::vector<unsigned char>& bytes) {
+  try {
+    static_cast<void>(decode_state(bytes));
+  } catch (const precondition_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StateCodec, RangeChecksNameTheFieldAndOffset) {
+  const CapturedRun run = capture_mid_run(20, 3);
+  const std::vector<unsigned char> bytes = encode_state(run.state);
+  ASSERT_FALSE(run.state.jobs.empty());
+
+  // The jobs count follows head (8), now (8), next_job and next_request.
+  std::vector<unsigned char> bad = bytes;
+  for (std::size_t i = 32; i < 36; ++i) bad[i] = 0xFF;
+  std::string error = decode_error(bad);
+  EXPECT_NE(error.find("snapshot array length exceeds the remaining bytes"),
+            std::string::npos) << error;
+  EXPECT_NE(error.find("at byte 32"), std::string::npos) << error;
+
+  // The first job's state byte follows its id, spec and submit time.
+  const rms::JobSpec& spec = run.state.jobs.front().spec;
+  std::size_t at = 36 + 8 + 4 + spec.name.size();
+  for (const std::string* s : {&spec.cred.user, &spec.cred.group,
+                               &spec.cred.account, &spec.cred.job_class,
+                               &spec.cred.qos})
+    at += 4 + s->size();
+  at += 4 + 4 + 8 + 1 + 1 + 4 + 4 + spec.type_tag.size() + 8;
+  bad = bytes;
+  bad[at] = 0xFF;
+  error = decode_error(bad);
+  EXPECT_NE(error.find("snapshot job state out of range (255) at byte " +
+                       std::to_string(at)),
+            std::string::npos) << error;
+
+  // An ingest record's kind byte follows its u64 sequence number.
+  IngestRecord r;
+  r.seq = 5;
+  r.kind = IngestKind::Cancel;
+  std::vector<unsigned char> ingest = encode_ingest(r);
+  ingest[8] = 9;
+  try {
+    static_cast<void>(decode_ingest(ingest.data(), ingest.size()));
+    ADD_FAILURE() << "an ingest kind of 9 must be rejected";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("WAL ingest kind out of range (9)"),
+              std::string::npos) << e.what();
+  }
+}
+
 // --- capture/restore fidelity ----------------------------------------------
 
 TEST(StateRestore, RestoredSystemRecapturesIdentically) {
@@ -450,6 +503,27 @@ TEST(StateDir, PruneKeepsNewestImages) {
   for (const std::uint64_t kept : {15u, 20u, 25u, 30u})
     EXPECT_TRUE(fs::exists(snapshot_path(dir.path(), kept)));
   EXPECT_EQ(prune_snapshots(dir.path(), 4), 0u);  // already within budget
+}
+
+TEST(StateDir, ForeignSnapshotNamesAreIgnored) {
+  TempDir dir("foreign_names");
+  CapturedRun run = capture_mid_run(20, 7);
+  run.state.wal_decisions = 10;
+  write_snapshot(dir.path(), run.state);
+  // Not a decision count: beyond u64, signed, empty, not a number. None
+  // may be loaded, pruned or throw.
+  for (const char* name :
+       {"snapshot-99999999999999999999999.dbss", "snapshot-+5.dbss",
+        "snapshot-.dbss", "snapshot-1x.dbss"})
+    std::ofstream(dir.path() + "/" + name) << "garbage";
+
+  const std::optional<SystemState> best =
+      load_best_snapshot(dir.path(), 100, 100);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->wal_decisions, 10u);
+  EXPECT_EQ(prune_snapshots(dir.path(), 1), 0u);
+  EXPECT_TRUE(
+      fs::exists(dir.path() + "/snapshot-99999999999999999999999.dbss"));
 }
 
 }  // namespace

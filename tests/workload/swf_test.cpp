@@ -194,6 +194,49 @@ std::uint64_t replay(const std::string& trace, std::uint64_t& unusable) {
 const std::int64_t kMaxSeconds =
     Duration::infinite().as_micros() / 1'000'000 - 1;
 
+/// Nodes size_cluster picks for a trace whose header is `directives`.
+std::size_t sized_nodes(const std::string& directives, std::size_t nodes,
+                        CoreCount cores_per_node) {
+  std::istringstream in(directives + kRecord);
+  SwfSource src(in, {});
+  return src.size_cluster(nodes, cores_per_node, "t.swf");
+}
+
+TEST(SwfSource, SizeClusterFromMaxProcs) {
+  EXPECT_EQ(sized_nodes("; MaxProcs: 100\n", 0, 8), 13u);  // ceil(100/8)
+  EXPECT_EQ(sized_nodes("", 0, 8), 16u);                  // 128 cores
+  EXPECT_EQ(sized_nodes("; MaxProcs: -1\n", 0, 8), 16u);
+  EXPECT_EQ(sized_nodes("; MaxProcs: 2147483647\n", 0, 1), 2147483647u);
+  EXPECT_EQ(sized_nodes("; MaxProcs: 4294967304\n", 3, 8), 3u);  // --nodes
+
+  // Jobs are clamped to the machine the call sized.
+  std::istringstream in("; MaxProcs: 16\n" + record("0", "50", "512", "-1",
+                                                     "-1"));
+  SwfSource src(in, {});
+  EXPECT_EQ(src.size_cluster(0, 8, "t.swf"), 2u);
+  SubmitSpec s;
+  ASSERT_TRUE(src.next(s));
+  EXPECT_EQ(s.spec.cores, 16);
+}
+
+TEST(SwfSource, SizeClusterRejectsMaxProcsBeyondCoreCount) {
+  // 2^31 used to abort on a negative core count; 2^32 + 8 used to wrap
+  // silently to an 8-core machine.
+  for (const std::string value : {"2147483648", "4294967304"}) {
+    std::istringstream in("; Version: 2.2\n; MaxProcs: " + value + "\n" +
+                          kRecord);
+    SwfSource src(in, {});
+    try {
+      static_cast<void>(src.size_cluster(0, 8, "big.swf"));
+      ADD_FAILURE() << "MaxProcs " << value << " accepted";
+    } catch (const precondition_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("big.swf:2:"), std::string::npos) << what;
+      EXPECT_NE(what.find("MaxProcs " + value), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(SwfSource, SubmitTimeBeyondDurationIsUnusable) {
   std::uint64_t unusable = 0;
   EXPECT_EQ(replay(record("10000000000000", "100", "4", "4", "200") +

@@ -42,6 +42,7 @@
 #include "batch/batch_system.hpp"
 #include "batch/sharded_system.hpp"
 #include "cli_number.hpp"
+#include "common/assert.hpp"
 #include "config/maui_config.hpp"
 #include "metrics/report.hpp"
 #include "svc/ingest.hpp"
@@ -204,15 +205,12 @@ int main(int argc, char** argv) {
   swf_config.overlay_dynamic_fraction = overlay_pct / 100.0;
   swf_config.overlay_seed = overlay_seed;
   wl::swf::SwfSource source(swf_in, swf_config);
-  const wl::swf::SwfHeader& header = source.header();
-  if (nodes == 0) {
-    const CoreCount total =
-        header.max_procs > 0 ? static_cast<CoreCount>(header.max_procs) : 128;
-    nodes = static_cast<std::size_t>((total + cores_per_node - 1) /
-                                     cores_per_node);
+  try {
+    nodes = source.size_cluster(nodes, cores_per_node, swf_path);
+  } catch (const precondition_error& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   }
-  source.set_max_cores(static_cast<CoreCount>(
-      static_cast<std::int64_t>(nodes) * cores_per_node));
 
   batch::SystemConfig system_config;
   if (!config_path.empty()) {

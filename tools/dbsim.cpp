@@ -52,6 +52,7 @@
 #include "batch/parallel_runner.hpp"
 #include "batch/sharded_system.hpp"
 #include "cli_number.hpp"
+#include "common/assert.hpp"
 #include "config/maui_config.hpp"
 #include "core/pipeline/iteration_context.hpp"
 #include "obs/recorder/manifest.hpp"
@@ -334,16 +335,12 @@ int main(int argc, char** argv) {
     swf_config.overlay_dynamic_fraction = swf_overlay_pct / 100.0;
     swf_config.overlay_seed = swf_seed;
     swf_source = std::make_unique<wl::swf::SwfSource>(swf_in, swf_config);
-    const wl::swf::SwfHeader& header = swf_source->header();
-    if (nodes == 0) {
-      const CoreCount total =
-          header.max_procs > 0 ? static_cast<CoreCount>(header.max_procs)
-                               : 128;
-      nodes = static_cast<std::size_t>((total + cores_per_node - 1) /
-                                       cores_per_node);
+    try {
+      nodes = swf_source->size_cluster(nodes, cores_per_node, swf_path);
+    } catch (const precondition_error& e) {
+      std::cerr << e.what() << "\n";
+      return 1;
     }
-    swf_source->set_max_cores(static_cast<CoreCount>(
-        static_cast<std::int64_t>(nodes) * cores_per_node));
     // Multi-month traces only fit if finished jobs release their storage
     // and metrics fold into aggregates as the replay advances.
     system_config.retire_finished_jobs = !swf_materialize;
